@@ -1,0 +1,86 @@
+"""Euler-Maruyama kernel for the linear fluctuation dynamics.
+
+The recursion  a <- a + dt*(m11*a + m12*conj(a)) + sqrt(2*kappa)*xi  is linear
+over the reals with constant coefficients, so it runs as a block scan, the
+constant-coefficient prefix scan of Blelloch 1990.  With F the one-step map
+on (Re a, Im a): run every block of BLOCK steps from zero, vectorized across
+blocks; carry the start states in order, s_{b+1} = F^BLOCK s_b + (end of
+block b from zero); add F^i s_b at in-block step i.  Blocks start at the
+call's first step and all arithmetic is elementwise (no BLAS), so results do
+not depend on thread count and whole-block calls chain bit-identically.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+BLOCK = 1024
+
+
+def integrate_em(m11, m12, kappa, dt, noise, cos_theta, sin_theta,
+                 a0, store_field, out=None):
+    """One Euler-Maruyama sweep over ``noise``; returns (X, field, a_final).
+
+    X[k, j] = 2*Re(e^{-i theta_j} b_k), b_k = sqrt(2 kappa)*a_k - noise_k/dt,
+    is written into ``out`` when given, field is the trajectory a_k (empty
+    unless ``store_field``), and a_final seeds the next call.
+    """
+    noise = np.ascontiguousarray(noise, dtype=np.complex128)
+    n = noise.shape[0]
+    full, n_blocks = n // BLOCK, -(-n // BLOCK)
+    sq = math.sqrt(2.0 * kappa)
+    d11, d12 = complex(dt * m11), complex(dt * m12)
+    col0 = np.array([[d11.real + d12.real], [d11.imag + d12.imag]])
+    col1 = np.array([[d12.imag - d11.imag], [d11.real - d12.real]])
+
+    # u[i, c, b]: component c of sqrt(2 kappa)*xi at step b*BLOCK + i; two
+    # extra noise-free columns start at (1, 0) and (0, 1), so they trace the
+    # columns of F^i with the same arithmetic as the blocks
+    pairs = noise.view(np.float64).reshape(n, 2)
+    u = np.zeros((BLOCK, 2, n_blocks + 2))
+    blocks = pairs[:full * BLOCK].reshape(full, BLOCK, 2)
+    np.multiply(blocks.transpose(1, 2, 0), sq, out=u[:, :, :full])
+    np.multiply(pairs[full * BLOCK:], sq, out=u[:n - full * BLOCK, :, full])
+    z = np.zeros((BLOCK + 1, 2, n_blocks + 2))
+    z[0, 0, n_blocks] = z[0, 1, n_blocks + 1] = 1.0
+    step = np.empty((2, n_blocks + 2))
+    for i in range(BLOCK):
+        state, nxt = z[i], z[i + 1]
+        np.multiply(col0, state[0], out=nxt)
+        np.multiply(col1, state[1], out=step)
+        nxt += step
+        nxt += state
+        nxt += u[i]
+
+    powers = z[:, :, n_blocks:]                    # powers[i] = F^i
+    last = n - (n_blocks - 1) * BLOCK              # length of the final block
+    maps = [powers[BLOCK].tolist()] * (n_blocks - 1) + [powers[last].tolist()]
+    ends = z[BLOCK, :, :n_blocks].T.tolist()
+    ends[-1] = z[last, :, n_blocks - 1].tolist()
+    x, y = complex(a0).real, complex(a0).imag
+    starts = []
+    for ((g00, g01), (g10, g11)), (end_x, end_y) in zip(maps, ends):
+        starts.append((x, y))
+        x, y = g00 * x + g01 * y + end_x, g10 * x + g11 * y + end_y
+    a_final = complex(x, y)
+
+    starts_x, starts_y = np.array(starts).T[:, :, None]
+    traj = np.empty((2, n_blocks, BLOCK))
+    for comp in range(2):
+        traj[comp] = z[:BLOCK, comp, :n_blocks].T
+        traj[comp] += starts_x * powers[:BLOCK, comp, 0]
+        traj[comp] += starts_y * powers[:BLOCK, comp, 1]
+    traj = traj.reshape(2, -1)[:, :n]
+    b = sq * traj - pairs.T * (1.0 / dt)
+    if out is None:
+        out = np.empty((n, len(cos_theta)))
+    # scaling by 2 is exact, so this is 2*(b_re*cos + b_im*sin)
+    cos2, sin2 = 2.0 * np.asarray(cos_theta), 2.0 * np.asarray(sin_theta)
+    for r in range(0, n, 4 * BLOCK):             # slabs keep writes in cache
+        slab = np.multiply.outer(cos2, b[0, r:r + 4 * BLOCK])
+        slab += np.multiply.outer(sin2, b[1, r:r + 4 * BLOCK])
+        out[r:r + 4 * BLOCK] = slab.T
+    field = traj[0] + 1j * traj[1] if store_field else np.empty(0, complex)
+    return out, field, a_final

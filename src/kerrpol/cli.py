@@ -381,12 +381,14 @@ def cmd_stokes(cfg: RunConfig) -> tuple[OutputTable, OutputTable]:
         omega = freq * TWO_PI_MHZ
         ds = phase_scan_dataset(model, omega, thetas, eta=params.eta_det)
         for th, ct, v in zip(ds.theta_hd, ds.cos_theta, ds.v_theta):
-            assert v >= 1.0 - params.eta_det - 1e-12   # loss floor re-check
+            if not v >= 1.0 - params.eta_det - 1e-12:   # loss floor
+                raise NumericalError(f"scan noise {v:.6g} under the loss floor")
             scan_rows.append((freq, float(th), float(ct), float(v)))
         spec = noise_spectrum(model, [omega], np.array([0.0, math.pi / 2.0]))
         record = stokes_noise(spec, steady.alpha_x)[0]
         product = record.uncertainty_product
-        assert product >= 1.0 - 1e-6                   # emission re-check
+        if not product >= 1.0 - 1e-6:                  # emission re-check
+            raise NumericalError(f"uncertainty product {product:.6g} < 1")
         summary_rows.append((freq, record.v_s2_norm, record.v_s3_norm,
                              product))
     scan_table = OutputTable(

@@ -18,45 +18,28 @@ feed-through reuses the increment that drives step k; that is the consistent
 discretization of the white input appearing both in the cavity drive and in
 the output.
 
-The per-step recursion is the hot loop: it runs in the compiled extension
-``_em_core`` when available and falls back to the pure-Python twin
-``_em_fallback`` otherwise (force the fallback with KERRPOL_PURE_PYTHON=1).
-``bench/benchmark_em.py`` compares the two.
+The per-step recursion runs in ``_kernel``, a numpy block scan whose output
+does not depend on how the run is split into chunks of whole blocks.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .errors import UnstableModelError, ValidationError
 from .spectra import FluctuationModel, NoiseSpectrum
 
 MAX_STEP_FRACTION = 0.1   # dt * |m11| above this is too coarse to trust
-DEFAULT_CHUNK = 1 << 21   # noise samples per kernel call
-
-
-def _load_kernel():
-    if os.environ.get("KERRPOL_PURE_PYTHON"):
-        from . import _em_fallback
-        return _em_fallback, False
-    try:
-        from . import _em_core
-        return _em_core, True
-    except ImportError:
-        from . import _em_fallback
-        return _em_fallback, False
-
-
-_kernel, _kernel_compiled = _load_kernel()
+DEFAULT_CHUNK = 1 << 19   # noise samples per kernel call, whole blocks
 
 
 def kernel_backend() -> str:
-    """Which integrator backend is active: 'compiled' or 'python'."""
-    return "compiled" if _kernel_compiled else "python"
+    """Integrator backend; the package has no compiled code."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -100,8 +83,8 @@ def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
              chunk_size: int = DEFAULT_CHUNK) -> QuadratureSeries:
     """Integrate the linear fluctuation dynamics; deterministic per seed.
 
-    Noise increments come from ``numpy.random.default_rng(seed)`` in fixed
-    chunk sizes, so identical configurations reproduce bit-identical series.
+    Noise comes from ``numpy.random.default_rng(seed)``: identical configs give
+    bit-identical series for any ``chunk_size`` of whole kernel blocks.
     """
     if not model.is_stable:
         raise UnstableModelError(
@@ -111,6 +94,15 @@ def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
         raise ValidationError(
             f"step too coarse: dt*|m11| = {cfg.dt * abs(model.m11):.3g} "
             f"> {MAX_STEP_FRACTION}")
+    # a nearly reactive drift can pass the dt*|m11| bound and still diverge
+    step_map = np.eye(2) + cfg.dt * model.drift_matrix
+    radius = float(np.max(np.abs(np.linalg.eigvals(step_map))))
+    if radius >= 1.0:
+        raise ValidationError(f"Euler-Maruyama step diverges: one-step map "
+                              f"spectral radius {radius:.8g} >= 1; reduce dt")
+    if chunk_size <= 0 or chunk_size % _kernel.BLOCK:
+        raise ValidationError(
+            f"chunk_size must be a positive multiple of {_kernel.BLOCK}")
 
     n_total = cfg.n_steps
     n_burn = int(cfg.burn_in * n_total)
@@ -124,19 +116,16 @@ def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
     x_out = np.empty((n_total, thetas.size))
     field_out = np.empty(n_total, dtype=np.complex128) if store_field else None
     a = 0j
-    done = 0
-    while done < n_total:
+    for done in range(0, n_total, chunk_size):
         m = min(chunk_size, n_total - done)
-        # interleaved draws keep the noise stream independent of chunking
-        draws = rng.standard_normal(2 * m)
-        noise = (draws[0::2] + 1j * draws[1::2]) * sigma
-        x_chunk, field_chunk, a = _kernel.integrate_em(
+        # (re, im) pairs keep the noise stream independent of chunking
+        noise = (rng.standard_normal(2 * m) * sigma).view(np.complex128)
+        _, field_chunk, a = _kernel.integrate_em(
             complex(model.m11), complex(model.m12), float(model.kappa),
-            float(cfg.dt), noise, cos_t, sin_t, a, bool(store_field))
-        x_out[done:done + m] = x_chunk
+            float(cfg.dt), noise, cos_t, sin_t, a, bool(store_field),
+            x_out[done:done + m])
         if store_field:
             field_out[done:done + m] = field_chunk
-        done += m
 
     return QuadratureSeries(
         dt=cfg.dt,
@@ -242,7 +231,8 @@ def compare(analytic: NoiseSpectrum, empirical: PsdEstimate,
     """z-score table (analytic - empirical)/stderr on the common grid.
 
     Frequencies are matched within ``rtol``; phases must match exactly.
-    Passes when at least 95% of the compared points satisfy |z| <= 3.
+    Passes when at least 95% of the compared points satisfy |z| <= 3.  A
+    non-finite estimate or an error bar that is not finite and > 0 raises.
     """
     theta_cols = []
     for t in empirical.thetas:
@@ -271,8 +261,10 @@ def compare(analytic: NoiseSpectrum, empirical: PsdEstimate,
     ana = np.array(ana)
     emp = np.array(emp)
     err = np.array(err)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(err > 0, (ana - emp) / err, 0.0)
+    if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(err) & (err > 0))):
+        raise ValidationError(
+            "compared PSD estimates must be finite, with finite stderr > 0")
+    z = (ana - emp) / err
     max_abs = float(np.max(np.abs(z)))
     frac = float(np.mean(np.abs(z) <= 3.0))
     return ComparisonReport(

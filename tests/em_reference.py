@@ -1,12 +1,9 @@
-"""Pure-Python twin of the compiled Euler-Maruyama kernel.
+"""Plain-loop Euler-Maruyama reference for the block-scan kernel.
 
-Selected automatically when the extension module is unavailable (or forced
-via ``KERRPOL_PURE_PYTHON=1``).  Keeps the exact operation order of the
-compiled loop; the quadrature projection is vectorized after the sequential
-recursion, with elementwise operations matching the compiled path.
+One step at a time, in the textbook operation order; the kernel must match it
+to rounding noise.  Same contract as ``kerrpol._kernel.integrate_em``
+without the ``out`` argument: returns (X, field, a_final).
 """
-
-from __future__ import annotations
 
 import math
 
@@ -15,10 +12,6 @@ import numpy as np
 
 def integrate_em(m11, m12, kappa, dt, noise, cos_theta, sin_theta,
                  a0, store_field):
-    """One Euler-Maruyama sweep over a block of noise increments.
-
-    Same contract as the compiled kernel: returns (X, field, a_final).
-    """
     n = noise.shape[0]
     trajectory = np.empty(n, dtype=np.complex128)
     a = complex(a0)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -185,6 +186,36 @@ def test_stokes_flat_vacuum_scan_is_unity(tmp_path):
     lines = (tmp_path / "stokes_scan.csv").read_text().splitlines()
     rows = [l.split(",") for l in lines if l and not l.startswith("#")][1:]
     assert all(abs(float(r[3]) - 1.0) < 1e-9 for r in rows)
+
+
+@pytest.mark.parametrize("check", ["loss_floor", "uncertainty"])
+def test_stokes_recheck_failure_exits_2(tmp_path, capsys, monkeypatch, check):
+    # the re-checks raise, so they also hold under python -O
+    if check == "loss_floor":
+        real = cli.phase_scan_dataset
+
+        def below_floor(*args, **kwargs):
+            ds = real(*args, **kwargs)
+            return SimpleNamespace(theta_hd=ds.theta_hd, cos_theta=ds.cos_theta,
+                                   v_theta=0.0 * ds.v_theta)
+        monkeypatch.setattr(cli, "phase_scan_dataset", below_floor)
+    else:
+        monkeypatch.setattr(cli, "stokes_noise", lambda spec, alpha: [
+            SimpleNamespace(v_s2_norm=0.5, v_s3_norm=0.5,
+                            uncertainty_product=0.25)])
+    code = cli.main(["stokes", "--config", FIXTURE, "--out", str(tmp_path)])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "stokes_scan.csv").exists()
+
+
+def test_oracle_diverging_step_exits_1_without_report(tmp_path, capsys):
+    # shipped default.cfg: the x-mode one-step map has radius > 1
+    code = cli.main(["oracle", "--config", FIXTURE, "--mode", "x",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert "spectral radius" in capsys.readouterr().err
+    assert not (tmp_path / "oracle_report.json").exists()
 
 
 def test_oracle_command_passes_and_is_deterministic(tmp_path):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import kerrpol as kp
-from kerrpol import oracle as oracle_mod
-from kerrpol import _em_fallback
+from kerrpol import _kernel
+from kerrpol.oracle import DEFAULT_CHUNK
 
+import em_reference
 from conftest import make_params, steady_at
+
+L = _kernel.BLOCK
 
 
 def empty_resonant_model():
@@ -52,6 +56,24 @@ def test_simulate_rejects_coarse_step_and_instability():
         kp.simulate(unstable, kp.TrajectoryConfig(dt=0.001, duration=10.0, seed=1))
 
 
+def test_simulate_rejects_diverging_em_step():
+    # a nearly reactive drift passes dt*|m11| <= 0.1, yet the one-step map
+    # I + dt*M has eigenvalue 1 + dt*m11 = 0.999 + 0.09i, outside the circle
+    model = kp.FluctuationModel("y", m11=-1.0 + 90j, m12=0j, kappa=1.0)
+    assert model.is_stable
+    cfg = kp.TrajectoryConfig(dt=0.001, duration=10.0, seed=1)
+    with pytest.raises(kp.ValidationError, match="spectral radius"):
+        kp.simulate(model, cfg)
+
+
+def test_simulate_rejects_chunk_size_off_the_block_grid():
+    model, _ = squeezing_model()
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=30.0, seed=1)
+    for chunk_size in (L + 1, L // 2, 0):
+        with pytest.raises(kp.ValidationError, match="chunk_size"):
+            kp.simulate(model, cfg, chunk_size=chunk_size)
+
+
 # ---------------------------------------------------------------------------
 # simulation statistics
 
@@ -93,19 +115,53 @@ def test_different_seeds_agree_within_errors():
     assert np.all(np.abs(z) < 5.0)
 
 
-def test_backends_agree():
+def reference_noise(cfg):
+    """The increments ``simulate`` draws for ``cfg`` in one chunk."""
+    draws = np.random.default_rng(cfg.seed).standard_normal(2 * cfg.n_steps)
+    return (draws[0::2] + 1j * draws[1::2]) * (0.5 * math.sqrt(cfg.dt))
+
+
+def assert_close_to(actual, reference, rtol=1e-12):
+    assert actual.shape == reference.shape
+    assert np.max(np.abs(actual - reference)) <= rtol * np.max(np.abs(reference))
+
+
+def test_simulate_matches_reference_loop():
     model, _ = squeezing_model()
     cfg = kp.TrajectoryConfig(dt=0.01, duration=500.0, seed=11,
                               theta_list=(0.3,))
-    native = kp.simulate(model, cfg, store_field=True)
-    saved = oracle_mod._kernel
-    oracle_mod._kernel = _em_fallback
-    try:
-        fallback = kp.simulate(model, cfg, store_field=True)
-    finally:
-        oracle_mod._kernel = saved
-    assert np.allclose(native.samples, fallback.samples, rtol=1e-9, atol=1e-9)
-    assert np.allclose(native.field, fallback.field, rtol=1e-9, atol=1e-12)
+    series = kp.simulate(model, cfg, store_field=True)
+    x, field, _ = em_reference.integrate_em(
+        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg),
+        np.cos([0.3]), np.sin([0.3]), 0j, True)
+    assert_close_to(series.samples, x)
+    assert_close_to(series.field, field)
+
+
+def test_kernel_matches_reference_loop():
+    # the last block is partial, the start state is off zero, and several
+    # phases are projected
+    m11, m12, kappa, dt = -1.0 - 1.31j, 0.58j, 1.0, 0.005
+    n = 3 * L + 517
+    rng = np.random.default_rng(21)
+    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
+        0.5 * math.sqrt(dt))
+    thetas = np.array([0.0, 0.4, 2.0, -1.1])
+    args = (m11, m12, kappa, dt, noise, np.cos(thetas), np.sin(thetas),
+            0.3 - 0.7j)
+    ref_x, ref_field, ref_a = em_reference.integrate_em(*args, True)
+    for store_field in (True, False):
+        x, field, a = _kernel.integrate_em(*args, store_field)
+        assert_close_to(x, ref_x)
+        assert abs(a - ref_a) <= 1e-12 * abs(ref_a)
+        if store_field:
+            assert_close_to(field, ref_field)
+        else:
+            assert field.size == 0
+    out = np.empty_like(ref_x)
+    x, _, _ = _kernel.integrate_em(*args, False, out)
+    assert x is out
+    assert_close_to(out, ref_x)
 
 
 def test_chunked_integration_is_seamless():
@@ -114,6 +170,38 @@ def test_chunked_integration_is_seamless():
     whole = kp.simulate(model, cfg, chunk_size=1 << 22)
     pieces = kp.simulate(model, cfg, chunk_size=1024)
     assert np.array_equal(whole.samples, pieces.samples)
+
+
+@settings(max_examples=25, deadline=None)
+@given(detuning=st.floats(-6.0, 6.0), coupling=st.floats(0.0, 1.2),
+       phase=st.floats(0.0, 2.0 * math.pi), dt=st.floats(0.001, 0.05),
+       n=st.integers(L, 12 * L))
+def test_chunk_size_never_changes_samples(detuning, coupling, phase, dt, n):
+    model = kp.FluctuationModel("y", m11=complex(-1.0, detuning),
+                                m12=coupling * complex(math.cos(phase),
+                                                       math.sin(phase)),
+                                kappa=1.0)
+    step_map = np.eye(2) + dt * model.drift_matrix
+    assume(model.stability_margin < -0.05 and dt * abs(model.m11) <= 0.1
+           and np.max(np.abs(np.linalg.eigvals(step_map))) < 1.0)
+    cfg = kp.TrajectoryConfig(dt=dt, duration=n * dt, seed=n,
+                              theta_list=(0.0, 1.0))
+    chunks = (L, 3 * L, DEFAULT_CHUNK, (cfg.n_steps // L + 1) * L)
+    runs = [kp.simulate(model, cfg, store_field=True, chunk_size=c)
+            for c in chunks]
+    for run in runs[1:]:
+        assert np.array_equal(run.samples, runs[0].samples)
+        assert np.array_equal(run.field, runs[0].field)
+
+
+def test_default_chunk_boundary_is_seamless():
+    model, _ = squeezing_model()
+    n = DEFAULT_CHUNK + 5 * L + 123
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=4)
+    assert cfg.n_steps > DEFAULT_CHUNK
+    default = kp.simulate(model, cfg)
+    single = kp.simulate(model, cfg, chunk_size=4 * DEFAULT_CHUNK)
+    assert np.array_equal(default.samples, single.samples)
 
 
 def test_conjugate_reconstruction_matches_two_variable_integration():
@@ -126,7 +214,7 @@ def test_conjugate_reconstruction_matches_two_variable_integration():
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (0.5 * math.sqrt(dt))
     cos_t = np.array([1.0])
     sin_t = np.array([0.0])
-    _, field, _ = _em_fallback.integrate_em(
+    _, field, _ = _kernel.integrate_em(
         complex(model.m11), complex(model.m12), model.kappa, dt, noise,
         cos_t, sin_t, 0j, True)
 
@@ -263,15 +351,28 @@ def test_compare_flags_perturbed_model():
     assert not report.passed
 
 
-def test_compare_identical_inputs_gives_zero_z():
+def test_compare_rejects_degenerate_error_bars():
+    # identical inputs with zero error bars used to score z = 0 and pass
     model, _ = squeezing_model()
     omega = np.linspace(0.2, 2.0, 12)
     thetas = (0.0, 0.5)
     spec = kp.noise_spectrum(model, omega, thetas)
-    fake = kp.PsdEstimate(omega=omega, psd=spec.values.copy(),
-                          stderr=np.zeros_like(spec.values), n_segments=8,
-                          thetas=thetas)
-    report = kp.compare(spec, fake)
+
+    def estimate(psd, stderr):
+        return kp.PsdEstimate(omega=omega, psd=psd, stderr=stderr,
+                              n_segments=8, thetas=thetas)
+
+    ones = np.ones_like(spec.values)
+    with pytest.raises(kp.ValidationError):
+        kp.compare(spec, estimate(spec.values.copy(), 0.0 * ones))
+    # one bad point among good ones is enough
+    for name, value in [("stderr", 0.0), ("stderr", -1.0), ("stderr", np.nan),
+                        ("stderr", np.inf), ("psd", np.inf), ("psd", np.nan)]:
+        arrays = {"psd": spec.values.copy(), "stderr": ones.copy()}
+        arrays[name][3, 1] = value
+        with pytest.raises(kp.ValidationError):
+            kp.compare(spec, estimate(**arrays))
+    report = kp.compare(spec, estimate(spec.values.copy(), ones))
     assert np.all(report.z == 0.0)
     assert report.passed
 
