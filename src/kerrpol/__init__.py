@@ -11,8 +11,8 @@ that cross-checks the analytic spectra.
 from .errors import (KerrpolError, NumericalError, SingularTransferError,
                      UnstableModelError, ValidationError)
 from .oracle import (ComparisonReport, PsdEstimate, QuadratureSeries,
-                     TrajectoryConfig, compare, kernel_backend, psd_estimate,
-                     simulate, welch_psd)
+                     TrajectoryConfig, compare, kernel_backend, oracle_psd,
+                     psd_estimate, simulate, welch_psd)
 from .params import DriveField, PhysicalParams
 from .spectra import (FluctuationModel, NoiseSpectrum, build_drift_x,
                       build_drift_y, drift_x_nonlinear, drift_y_nonlinear,
@@ -38,7 +38,7 @@ __all__ = [
     "compare", "drift_x_nonlinear", "drift_y_nonlinear",
     "drive_for_intensity", "fold_angle", "kernel_backend", "kerr_coefficient",
     "linear_dephasing", "min_max_spectrum", "model_validity",
-    "noise_spectrum", "phase_scan_dataset", "psd_estimate",
+    "noise_spectrum", "oracle_psd", "phase_scan_dataset", "psd_estimate",
     "quadrature_spectrum", "recover_lossless", "saturation", "simulate",
     "steady_state_residual", "steady_states", "stokes_means", "stokes_noise",
     "stokes_s0_s1_noise", "stokes_theta", "transfer", "turning_points",

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 BLOCK = 1024
+TILE = 64       # blocks per step of the noise transpose
 
 
 def integrate_em(m11, m12, kappa, dt, noise, cos_theta, sin_theta,
@@ -39,9 +40,12 @@ def integrate_em(m11, m12, kappa, dt, noise, cos_theta, sin_theta,
     # extra noise-free columns start at (1, 0) and (0, 1), so they trace the
     # columns of F^i with the same arithmetic as the blocks
     pairs = noise.view(np.float64).reshape(n, 2)
-    u = np.zeros((BLOCK, 2, n_blocks + 2))
+    u = np.empty((BLOCK, 2, n_blocks + 2))
+    u[:, :, full:] = 0.0
     blocks = pairs[:full * BLOCK].reshape(full, BLOCK, 2)
-    np.multiply(blocks.transpose(1, 2, 0), sq, out=u[:, :, :full])
+    for j in range(0, full, TILE):             # tiles keep reads in cache
+        k = min(j + TILE, full)
+        np.multiply(blocks[j:k].transpose(1, 2, 0), sq, out=u[:, :, j:k])
     np.multiply(pairs[full * BLOCK:], sq, out=u[:n - full * BLOCK, :, full])
     z = np.zeros((BLOCK + 1, 2, n_blocks + 2))
     z[0, 0, n_blocks] = z[0, 1, n_blocks + 1] = 1.0

@@ -9,6 +9,7 @@ singularity), 3 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -19,13 +20,13 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .oracle import (PsdEstimate, TrajectoryConfig, compare, kernel_backend,
-                     psd_estimate, simulate)
+                     oracle_psd)
 from .params import DriveField, PhysicalParams, TWO_PI_MHZ
 from .spectra import (build_drift_x, build_drift_y, fold_angle,
                       min_max_spectrum, model_validity, noise_spectrum)
 from .steady import cavity_scan, steady_states
 from .stokes import apply_detection_loss, phase_scan_dataset, stokes_noise
-from .tables import OutputTable, format_value
+from .tables import OutputTable, finite_json, format_value, write_text
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,6 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
         fail("theta_stop_deg", "must exceed theta_start_deg")
     if cfg.oracle_dt <= 0:
         fail("oracle_dt", "must be > 0")
-    if cfg.oracle_duration <= 0:
-        fail("oracle_duration", "must be > 0")
     if cfg.oracle_duration < 1000.0 * cfg.oracle_dt:
         fail("oracle_duration", "must be at least 1000 * oracle_dt")
     if not 0 <= cfg.oracle_burn_in <= 0.5:
@@ -328,8 +327,8 @@ def cmd_scan(cfg: RunConfig) -> OutputTable:
         meta={**_base_meta(cfg), "power_uw": cfg.power_uw})
 
 
-def cmd_spectrum(cfg: RunConfig, mode: str = "y",
-                 log=lambda *_: None) -> OutputTable:
+def _operating_point(cfg: RunConfig, mode: str, log):
+    """Parameters, branch and stable ``mode`` model; warnings go to ``log``."""
     if mode not in ("x", "y"):
         raise ValidationError(f"mode must be 'x' or 'y', got {mode!r}")
     params = build_params(cfg)
@@ -341,12 +340,19 @@ def cmd_spectrum(cfg: RunConfig, mode: str = "y",
             f"{mode}-mode fluctuations unstable on branch "
             f"{steady.branch_index} (margin {model.stability_margin:.4g} "
             "rad/s)")
+    for freq in cfg.freqs_mhz:
+        for warning in model_validity(model, params, freq * TWO_PI_MHZ):
+            log(f"warning ({freq} MHz): {warning}")
+    return params, steady, model
+
+
+def cmd_spectrum(cfg: RunConfig, mode: str = "y",
+                 log=lambda *_: None) -> OutputTable:
+    params, steady, model = _operating_point(cfg, mode, log)
     thetas = _theta_grid(cfg)
     rows = []
     for freq in cfg.freqs_mhz:
         omega = freq * TWO_PI_MHZ
-        for warning in model_validity(model, params, omega):
-            log(f"warning ({freq} MHz): {warning}")
         spec = noise_spectrum(model, [omega], thetas)
         for theta, value in zip(thetas, spec.values[0]):
             rows.append(("grid", freq, float(theta), float(value),
@@ -366,14 +372,9 @@ def cmd_spectrum(cfg: RunConfig, mode: str = "y",
               "s_x": steady.s_x, "eta_det": params.eta_det})
 
 
-def cmd_stokes(cfg: RunConfig) -> tuple[OutputTable, OutputTable]:
-    params = build_params(cfg)
-    steady = select_branch(cfg, params)
-    model = build_drift_y(steady, params)
-    if not model.is_stable:
-        raise NumericalError(
-            f"orthogonal mode unstable on branch {steady.branch_index} "
-            f"(margin {model.stability_margin:.4g} rad/s)")
+def cmd_stokes(cfg: RunConfig,
+               log=lambda *_: None) -> tuple[OutputTable, OutputTable]:
+    params, steady, model = _operating_point(cfg, "y", log)
     thetas = _theta_grid(cfg)
     scan_rows = []
     summary_rows = []
@@ -408,17 +409,10 @@ def cmd_stokes(cfg: RunConfig) -> tuple[OutputTable, OutputTable]:
     return scan_table, summary_table
 
 
-def cmd_oracle(cfg: RunConfig, mode: str = "y") -> dict:
+def cmd_oracle(cfg: RunConfig, mode: str = "y",
+               log=lambda *_: None) -> dict:
     """Stochastic-vs-analytic consistency report for the configured point."""
-    params = build_params(cfg)
-    steady = select_branch(cfg, params)
-    build = build_drift_y if mode == "y" else build_drift_x
-    model = build(steady, params)
-    if not model.is_stable:
-        raise NumericalError(
-            f"{mode}-mode fluctuations unstable on branch "
-            f"{steady.branch_index}")
-
+    params, steady, model = _operating_point(cfg, mode, log)
     sim_model = model
     if cfg.oracle_perturb_sx != 0.0:
         factor = 1.0 + cfg.oracle_perturb_sx
@@ -427,6 +421,7 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y") -> dict:
         scaled = replace(steady,
                          alpha_x=steady.alpha_x * math.sqrt(factor),
                          s_x=steady.s_x * factor)
+        build = build_drift_y if mode == "y" else build_drift_x
         sim_model = build(scaled, params)
         if not sim_model.is_stable:
             raise NumericalError("perturbed oracle model is unstable")
@@ -437,9 +432,8 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y") -> dict:
     traj = TrajectoryConfig(dt=cfg.oracle_dt, duration=cfg.oracle_duration,
                             seed=cfg.oracle_seed, burn_in=cfg.oracle_burn_in,
                             theta_list=theta_list)
-    series = simulate(sim_model, traj)
-    estimate = psd_estimate(series, cfg.oracle_segment_length,
-                            cfg.oracle_overlap)
+    estimate = oracle_psd(sim_model, traj, cfg.oracle_segment_length,
+                          cfg.oracle_overlap)
 
     lo, hi = 0.1 * params.kappa, 3.0 * params.kappa
     band = np.nonzero((estimate.omega >= lo) & (estimate.omega <= hi))[0]
@@ -454,12 +448,10 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y") -> dict:
                          psd=estimate.psd[picks],
                          stderr=estimate.stderr[picks],
                          n_segments=estimate.n_segments,
-                         thetas=series.thetas)
+                         thetas=estimate.thetas)
     report = compare(analytic, subset)
     return {
-        "generator": f"kerrpol {__version__}",
-        "config_hash": config_hash(cfg),
-        "seed": cfg.oracle_seed,
+        **_base_meta(cfg),
         "mode": mode,
         "backend": kernel_backend(),
         "n_steps": traj.n_steps,
@@ -467,18 +459,6 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y") -> dict:
         "perturb_sx": cfg.oracle_perturb_sx,
         "comparison": report.to_dict(),
     }
-
-
-def _write_report(report: dict, out_dir: str) -> str:
-    import json
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "oracle_report.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    return path
 
 
 def _load_config(args) -> RunConfig:
@@ -535,6 +515,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    warn = functools.partial(print, file=sys.stderr)
     try:
         if args.command == "template":
             sys.stdout.write(config_template(cfg))
@@ -546,18 +527,18 @@ def main(argv=None) -> int:
             print(path)
             return 0
         if args.command == "spectrum":
-            table = cmd_spectrum(cfg, args.mode,
-                                 log=lambda m: print(m, file=sys.stderr))
+            table = cmd_spectrum(cfg, args.mode, log=warn)
             print(table.write(cfg.out_dir, cfg.format))
             return 0
         if args.command == "stokes":
-            scan_table, summary_table = cmd_stokes(cfg)
+            scan_table, summary_table = cmd_stokes(cfg, log=warn)
             print(scan_table.write(cfg.out_dir, cfg.format))
             print(summary_table.write(cfg.out_dir, cfg.format))
             return 0
         if args.command == "oracle":
-            report = cmd_oracle(cfg, args.mode)
-            print(_write_report(report, cfg.out_dir))
+            report = cmd_oracle(cfg, args.mode, log=warn)
+            print(write_text(cfg.out_dir, "oracle_report.json",
+                             finite_json(report)))
             if not report["comparison"]["passed"]:
                 print(f"oracle mismatch: max |z| = "
                       f"{report['comparison']['max_abs_z']:.2f}",

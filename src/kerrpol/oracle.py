@@ -20,6 +20,9 @@ the output.
 
 The per-step recursion runs in ``_kernel``, a numpy block scan whose output
 does not depend on how the run is split into chunks of whole blocks.
+``oracle_psd`` streams each chunk into the Welch sums, so its memory is
+O(chunk), not O(steps); one helper thread draws the noise and runs Welch
+while the kernel runs.  Output depends on neither the chunking nor the thread.
 """
 
 from __future__ import annotations
@@ -78,14 +81,9 @@ class QuadratureSeries:
     seed: int
 
 
-def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
-             store_field: bool = False,
-             chunk_size: int = DEFAULT_CHUNK) -> QuadratureSeries:
-    """Integrate the linear fluctuation dynamics; deterministic per seed.
-
-    Noise comes from ``numpy.random.default_rng(seed)``: identical configs give
-    bit-identical series for any ``chunk_size`` of whole kernel blocks.
-    """
+def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig,
+                      chunk_size: int) -> None:
+    """Raise unless the EM run of ``cfg`` on ``model`` is sound."""
     if not model.is_stable:
         raise UnstableModelError(
             f"cannot simulate unstable {model.mode_label}-mode model "
@@ -104,32 +102,70 @@ def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
         raise ValidationError(
             f"chunk_size must be a positive multiple of {_kernel.BLOCK}")
 
+
+def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
+               chunk_size: int, store_field: bool, rows, sink) -> None:
+    """Run the checked EM trajectory of ``cfg`` chunk by chunk, in order.
+
+    The kernel fills ``rows(k, done, m)`` with chunk k on this thread while
+    one helper thread draws chunk k+1's noise and runs ``sink(done, x,
+    field)`` on chunk k-1.  Chunk k-2's sink ends before chunk k's rows are
+    asked for, so two row buffers can alternate.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     n_total = cfg.n_steps
-    n_burn = int(cfg.burn_in * n_total)
     thetas = np.asarray(cfg.theta_list, dtype=float)
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
-
     rng = np.random.default_rng(cfg.seed)
     sigma = 0.5 * math.sqrt(cfg.dt)  # per-component std of dxi
 
-    x_out = np.empty((n_total, thetas.size))
-    field_out = np.empty(n_total, dtype=np.complex128) if store_field else None
-    a = 0j
-    for done in range(0, n_total, chunk_size):
-        m = min(chunk_size, n_total - done)
+    def draw(m):
         # (re, im) pairs keep the noise stream independent of chunking
-        noise = (rng.standard_normal(2 * m) * sigma).view(np.complex128)
-        _, field_chunk, a = _kernel.integrate_em(
-            complex(model.m11), complex(model.m12), float(model.kappa),
-            float(cfg.dt), noise, cos_t, sin_t, a, bool(store_field),
-            x_out[done:done + m])
-        if store_field:
-            field_out[done:done + m] = field_chunk
+        return (rng.standard_normal(2 * m) * sigma).view(np.complex128)
 
+    spans = [(done, min(chunk_size, n_total - done))
+             for done in range(0, n_total, chunk_size)]
+    a = 0j
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        noise = pool.submit(draw, spans[0][1])
+        sunk = []
+        for k, (done, m) in enumerate(spans):
+            chunk_noise = noise.result()
+            if k + 1 < len(spans):
+                noise = pool.submit(draw, spans[k + 1][1])
+            if k >= 2:
+                sunk[k - 2].result()
+            x, field, a = _kernel.integrate_em(
+                complex(model.m11), complex(model.m12), float(model.kappa),
+                float(cfg.dt), chunk_noise, cos_t, sin_t, a, store_field,
+                rows(k, done, m))
+            sunk.append(pool.submit(sink, done, x, field))
+        for future in sunk[-2:]:
+            future.result()
+
+
+def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
+             store_field: bool = False,
+             chunk_size: int = DEFAULT_CHUNK) -> QuadratureSeries:
+    """Integrate the linear fluctuation dynamics; deterministic per seed.
+
+    Noise comes from ``numpy.random.default_rng(seed)``: identical configs give
+    bit-identical series for any ``chunk_size`` of whole kernel blocks.
+    """
+    _check_trajectory(model, cfg, chunk_size)
+    n_total = cfg.n_steps
+    n_burn = int(cfg.burn_in * n_total)
+    x_out = np.empty((n_total, len(cfg.theta_list)))
+    field_out = np.empty(n_total if store_field else 0, dtype=np.complex128)
+    _integrate(model, cfg, chunk_size, store_field,
+               lambda k, done, m: x_out[done:done + m],
+               lambda done, x, field: np.copyto(
+                   field_out[done:done + field.size], field))
     return QuadratureSeries(
         dt=cfg.dt,
-        thetas=tuple(float(t) for t in thetas),
+        thetas=tuple(float(t) for t in cfg.theta_list),
         samples=x_out[n_burn:],
         field=field_out[n_burn:] if store_field else None,
         seed=cfg.seed)
@@ -150,6 +186,53 @@ class PsdEstimate:
             raise ValidationError("PSD estimates cannot be negative")
 
 
+class _Welch:
+    """Hann-windowed periodogram sums over consecutive row blocks.
+
+    Segments that straddle blocks are assembled from the kept tail, so the
+    segments and the order of the sums do not depend on the split.
+    """
+
+    def __init__(self, n: int, n_cols: int, dt: float, segment_length: int,
+                 overlap: float) -> None:
+        if segment_length > n:
+            raise ValidationError("segment_length exceeds series length")
+        if not 0.0 <= overlap <= 0.9:
+            raise ValidationError("overlap must lie in [0, 0.9]")
+        self.hop = max(1, int(round(segment_length * (1.0 - overlap))))
+        self.n_seg = len(range(0, n - segment_length + 1, self.hop))
+        if self.n_seg < 4:
+            raise ValidationError(
+                f"need at least 4 segments for error bars, got {self.n_seg}")
+        self.length = segment_length
+        self.omega = 2.0 * math.pi * np.fft.rfftfreq(segment_length, d=dt)
+        self.window = np.hanning(segment_length + 1)[:-1]   # periodic Hann
+        self.norm = dt / np.sum(self.window ** 2)
+        self.acc = np.zeros((segment_length // 2 + 1, n_cols))
+        self.acc2 = np.zeros_like(self.acc)
+        self.tail = np.empty((0, n_cols))   # rows from the next segment on
+
+    def feed(self, rows: np.ndarray) -> None:
+        length, tail = self.length, self.tail
+        s = -len(tail)                      # next segment start in ``rows``
+        while s + length <= len(rows):
+            seg = (rows[s:s + length] if s >= 0 else
+                   np.concatenate((tail[s:], rows[:s + length])))
+            p = self.norm * np.abs(
+                np.fft.rfft(seg * self.window[:, None], axis=0)) ** 2
+            self.acc += p
+            self.acc2 += p * p
+            s += self.hop
+        self.tail = (np.concatenate((tail[s:], rows)) if s < 0 else
+                     rows[s:].copy())
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        n_seg = self.n_seg
+        mean = self.acc / n_seg
+        var = np.maximum(self.acc2 - n_seg * mean ** 2, 0.0) / (n_seg - 1)
+        return self.omega, mean, np.sqrt(var / n_seg), n_seg
+
+
 def welch_psd(samples: np.ndarray, dt: float, segment_length: int,
               overlap: float = 0.5) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Hann-windowed averaged periodogram on raw samples.
@@ -161,42 +244,37 @@ def welch_psd(samples: np.ndarray, dt: float, segment_length: int,
     are rad/s.
     """
     x = np.atleast_2d(samples.T).T       # (n, n_cols)
-    n = x.shape[0]
-    if segment_length > n:
-        raise ValidationError("segment_length exceeds series length")
-    if not 0.0 <= overlap <= 0.9:
-        raise ValidationError("overlap must lie in [0, 0.9]")
-    hop = max(1, int(round(segment_length * (1.0 - overlap))))
-    starts = range(0, n - segment_length + 1, hop)
-    n_seg = len(starts)
-    if n_seg < 4:
-        raise ValidationError(
-            f"need at least 4 segments for error bars, got {n_seg}")
-
-    window = np.hanning(segment_length + 1)[:-1]   # periodic Hann
-    norm = dt / np.sum(window ** 2)
-    n_freq = segment_length // 2 + 1
-    acc = np.zeros((n_freq, x.shape[1]))
-    acc2 = np.zeros_like(acc)
-    for s in starts:
-        seg = x[s:s + segment_length] * window[:, None]
-        p = norm * np.abs(np.fft.rfft(seg, axis=0)) ** 2
-        acc += p
-        acc2 += p * p
-    mean = acc / n_seg
-    var = np.maximum(acc2 - n_seg * mean ** 2, 0.0) / (n_seg - 1)
-    stderr = np.sqrt(var / n_seg)
-    omega = 2.0 * math.pi * np.fft.rfftfreq(segment_length, d=dt)
-    return omega, mean, stderr, n_seg
+    welch = _Welch(x.shape[0], x.shape[1], dt, segment_length, overlap)
+    welch.feed(x)
+    return welch.result()
 
 
 def psd_estimate(series: QuadratureSeries, segment_length: int,
                  overlap: float = 0.5) -> PsdEstimate:
     """Welch estimate of the output quadrature spectra of ``series``."""
-    omega, mean, stderr, n_seg = welch_psd(
-        series.samples, series.dt, segment_length, overlap)
-    return PsdEstimate(omega=omega, psd=mean, stderr=stderr,
-                       n_segments=n_seg, thetas=series.thetas)
+    return PsdEstimate(*welch_psd(series.samples, series.dt, segment_length,
+                                  overlap), thetas=series.thetas)
+
+
+def oracle_psd(model: FluctuationModel, cfg: TrajectoryConfig,
+               segment_length: int, overlap: float = 0.5,
+               chunk_size: int = DEFAULT_CHUNK) -> PsdEstimate:
+    """``psd_estimate(simulate(model, cfg), ...)`` without the sample array.
+
+    Chunks go from the kernel straight into the Welch sums, burn-in dropped,
+    so memory is O(chunk_size); results and errors match the two-call path.
+    """
+    _check_trajectory(model, cfg, chunk_size)
+    n_total = cfg.n_steps
+    n_burn = int(cfg.burn_in * n_total)
+    n_cols = len(cfg.theta_list)
+    welch = _Welch(n_total - n_burn, n_cols, cfg.dt, segment_length, overlap)
+    buffers = [np.empty((min(chunk_size, n_total), n_cols)) for _ in range(2)]
+    _integrate(model, cfg, chunk_size, False,
+               lambda k, done, m: buffers[k % 2][:m],
+               lambda done, x, field: welch.feed(x[max(0, n_burn - done):]))
+    return PsdEstimate(*welch.result(),
+                       thetas=tuple(float(t) for t in cfg.theta_list))
 
 
 @dataclass(frozen=True, eq=False)

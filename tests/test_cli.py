@@ -6,8 +6,11 @@ from types import SimpleNamespace
 
 import pytest
 
+import numpy as np
+
 import kerrpol as kp
 from kerrpol import cli
+from kerrpol.tables import OutputTable
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                        "default.cfg")
@@ -292,3 +295,63 @@ def test_commands_byte_identical_across_runs(tmp_path, command):
     assert names == sorted(os.listdir(out_b))
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+
+# ---------------------------------------------------------------------------
+# output hygiene: no NaN or infinity in a file, warnings on stderr only
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 np.float64(np.nan)])
+def test_tables_refuse_non_finite_values(bad):
+    def table(cell, meta):
+        return OutputTable(name="t", columns=["a", "b"], units=["1", "1"],
+                           rows=[(1.0, "x"), (cell, None)],
+                           meta={"seed": 1, "m": meta})
+
+    for render in (OutputTable.to_csv_text, OutputTable.to_json_text):
+        assert render(table(2.0, 0.5))
+        with pytest.raises(kp.NumericalError):
+            render(table(bad, 0.5))
+        with pytest.raises(kp.NumericalError):
+            render(table(2.0, bad))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_table_exits_2_without_file(tmp_path, capsys, monkeypatch,
+                                               fmt):
+    monkeypatch.setattr(cli, "apply_detection_loss", lambda s, eta: math.nan)
+    code = cli.main(["spectrum", "--config", FIXTURE, "--format", fmt,
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / f"spectrum_y.{fmt}").exists()
+
+
+def test_non_finite_oracle_report_exits_2_without_file(tmp_path, capsys,
+                                                       monkeypatch):
+    real = cli.compare
+    monkeypatch.setattr(cli, "compare", lambda *args: replace(
+        real(*args), max_abs_z=math.inf))
+    path = write_config(tmp_path, *FAST_ORACLE)
+    code = cli.main(["oracle", "--config", path, "--out", str(tmp_path)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "oracle_report.json").exists()
+
+
+@pytest.mark.parametrize("command", [["stokes"], ["oracle"]])
+def test_validity_warnings_reach_stderr_not_out(tmp_path, capsys,
+                                                monkeypatch, command):
+    path = write_config(tmp_path, *FAST_ORACLE)
+    quiet, warned = tmp_path / "quiet", tmp_path / "warned"
+    assert cli.main([*command, "--config", path, "--out", str(quiet)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    monkeypatch.setattr(cli, "model_validity", lambda model, params, omega: [
+        f"model-validity: probe at {omega:.6g} rad/s"])
+    assert cli.main([*command, "--config", path, "--out", str(warned)]) == 0
+    assert "model-validity: probe" in capsys.readouterr().err
+    names = sorted(os.listdir(quiet))
+    assert names == sorted(os.listdir(warned))
+    for name in names:
+        assert (quiet / name).read_bytes() == (warned / name).read_bytes()

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +205,171 @@ def test_default_chunk_boundary_is_seamless():
     default = kp.simulate(model, cfg)
     single = kp.simulate(model, cfg, chunk_size=4 * DEFAULT_CHUNK)
     assert np.array_equal(default.samples, single.samples)
+
+
+def stable_model(detuning, coupling, phase, dt):
+    """y-mode model from a hypothesis draw; rejects unsound EM steps."""
+    model = kp.FluctuationModel("y", m11=complex(-1.0, detuning),
+                                m12=coupling * complex(math.cos(phase),
+                                                       math.sin(phase)),
+                                kappa=1.0)
+    step_map = np.eye(2) + dt * model.drift_matrix
+    assume(model.stability_margin < -0.05 and dt * abs(model.m11) <= 0.1
+           and np.max(np.abs(np.linalg.eigvals(step_map))) < 1.0)
+    return model
+
+
+def assert_same_estimate(actual, expected):
+    for name in ("omega", "psd", "stderr"):
+        assert np.array_equal(getattr(actual, name), getattr(expected, name))
+    assert actual.n_segments == expected.n_segments
+    assert actual.thetas == expected.thetas
+
+
+@settings(max_examples=25, deadline=None)
+@given(detuning=st.floats(-6.0, 6.0), coupling=st.floats(0.0, 1.2),
+       phase=st.floats(0.0, 2.0 * math.pi), dt=st.floats(0.001, 0.05),
+       n=st.integers(4 * L, 12 * L), burn_in=st.floats(0.0, 0.5),
+       chunk_size=st.sampled_from([L, 3 * L, DEFAULT_CHUNK]),
+       segment_length=st.integers(16, 3 * L),
+       overlap=st.floats(0.0, 0.9))
+def test_oracle_psd_equals_the_two_call_path(detuning, coupling, phase, dt,
+                                             n, burn_in, chunk_size,
+                                             segment_length, overlap):
+    # burn-in off the block grid and segments that straddle, or outgrow,
+    # the chunk boundaries must not change a single bit
+    model = stable_model(detuning, coupling, phase, dt)
+    cfg = kp.TrajectoryConfig(dt=dt, duration=n * dt, seed=n, burn_in=burn_in,
+                              theta_list=(0.0, 1.0))
+    n_kept = cfg.n_steps - int(burn_in * cfg.n_steps)
+    hop = max(1, int(round(segment_length * (1.0 - overlap))))
+    assume(n_kept - segment_length >= 3 * hop)        # >= 4 segments
+    expected = kp.psd_estimate(kp.simulate(model, cfg), segment_length,
+                               overlap)
+    actual = kp.oracle_psd(model, cfg, segment_length, overlap,
+                           chunk_size=chunk_size)
+    assert_same_estimate(actual, expected)
+
+
+def test_oracle_psd_default_chunking_equals_the_two_call_path():
+    model, _ = squeezing_model()
+    n = 2 * DEFAULT_CHUNK + 3 * L + 77
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=8,
+                              burn_in=0.013, theta_list=(0.2, 1.7))
+    expected = kp.psd_estimate(kp.simulate(model, cfg), 3000, 0.3)
+    assert_same_estimate(kp.oracle_psd(model, cfg, 3000, 0.3), expected)
+
+
+def raised_by(call):
+    with pytest.raises(kp.KerrpolError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_oracle_psd_raises_what_the_two_call_path_raises():
+    model, p = squeezing_model()
+    steady = steady_at(p, kp.linear_dephasing(p) * (1.0 - 0.5), 0.5)
+    unstable = kp.build_drift_y(steady, p)
+    reactive = kp.FluctuationModel("y", m11=-1.0 + 90j, m12=0j, kappa=1.0)
+    short = kp.TrajectoryConfig(dt=0.01, duration=20.0, seed=1)  # 2000 steps
+    cases = [
+        (unstable, kp.TrajectoryConfig(dt=0.001, duration=10.0, seed=1),
+         {}, (256,)),
+        (reactive, kp.TrajectoryConfig(dt=0.001, duration=10.0, seed=1),
+         {}, (256,)),                                 # diverging step
+        (model, kp.TrajectoryConfig(dt=0.2, duration=400.0, seed=1),
+         {}, (256,)),                                 # coarse step
+        (model, short, {"chunk_size": L + 1}, (256,)),
+        (model, short, {}, (4096,)),                  # segment > n
+        (model, short, {}, (256, 0.95)),              # overlap out of range
+        (model, short, {}, (800, 0.0)),               # only 2 segments
+    ]
+    kinds = []
+    for sim_model, cfg, kwargs, welch_args in cases:
+        expected = raised_by(lambda: kp.psd_estimate(
+            kp.simulate(sim_model, cfg, **kwargs), *welch_args))
+        assert raised_by(lambda: kp.oracle_psd(
+            sim_model, cfg, *welch_args, **kwargs)) == expected
+        kinds.append(expected[0])
+    assert kinds == [kp.UnstableModelError] + [kp.ValidationError] * 6
+
+
+def test_kernel_failure_reaches_the_caller_and_stops_the_helper(monkeypatch):
+    model, _ = squeezing_model()
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=8 * L * 0.01, seed=2)
+    real = _kernel.integrate_em
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FloatingPointError("kernel failed mid-run")
+        return real(*args)
+
+    baseline = threading.active_count()
+    monkeypatch.setattr(_kernel, "integrate_em", failing)
+    with pytest.raises(FloatingPointError, match="mid-run"):
+        kp.oracle_psd(model, cfg, 512, chunk_size=L)
+    assert len(calls) == 3
+    assert threading.active_count() == baseline
+
+
+def test_concurrent_oracle_psd_calls_stay_bit_identical():
+    # four callers, each with its own helper thread, on a fast switch
+    # interval: a draw or a Welch feed that ran out of order would show
+    model, _ = squeezing_model()
+    cfgs = [kp.TrajectoryConfig(dt=0.01, duration=6 * L * 0.01 + 0.37 * i,
+                                seed=i, burn_in=0.1, theta_list=(0.0, 0.6))
+            for i in range(4)]
+    expected = [kp.psd_estimate(kp.simulate(model, c), 700, 0.4)
+                for c in cfgs]
+    results = [None] * len(cfgs)
+
+    def run(i):
+        results[i] = kp.oracle_psd(model, cfgs[i], 700, 0.4, chunk_size=L)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(cfgs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert_same_estimate(got, want)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_psd_memory_is_flat_in_duration():
+    # numpy reports its buffers to tracemalloc: the streaming path holds
+    # O(chunk) samples, simulate holds the whole trajectory
+    model, _ = squeezing_model()
+    chunk, thetas = 2 * L, (0.0, 0.7, 1.4, 2.1)
+    short, long = (kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=3,
+                                       theta_list=thetas)
+                   for n in (4 * chunk, 16 * chunk))
+    kp.oracle_psd(model, short, 1024, chunk_size=chunk)   # first-call imports
+    stream = [traced_peak(lambda: kp.oracle_psd(model, c, 1024,
+                                                chunk_size=chunk))
+              for c in (short, long)]
+    whole = [traced_peak(lambda: kp.simulate(model, c, chunk_size=chunk))
+             for c in (short, long)]
+    assert stream[1] <= 1.2 * stream[0]
+    extra_samples = (long.n_steps - short.n_steps) * len(thetas) * 8
+    assert whole[1] - whole[0] >= 0.95 * extra_samples
 
 
 def test_conjugate_reconstruction_matches_two_variable_integration():
