@@ -95,17 +95,24 @@ _SECTIONS = [
 ]
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 def _parse_value(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     if key == "freqs_mhz":
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if not parts:
             raise ValueError("expected at least one frequency")
-        return tuple(float(p) for p in parts)
+        return tuple(_finite(p) for p in parts)
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     return raw
 
 
@@ -233,6 +240,8 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
         fail("oracle_segment_length", "must be >= 16")
     if not 0 <= cfg.oracle_overlap <= 0.9:
         fail("oracle_overlap", "must lie in [0, 0.9]")
+    if cfg.oracle_perturb_sx <= -1:
+        fail("oracle_perturb_sx", "must exceed -1")
     if cfg.format not in ("csv", "json"):
         fail("format", "must be 'csv' or 'json'")
 
@@ -327,14 +336,17 @@ def cmd_scan(cfg: RunConfig) -> OutputTable:
         meta={**_base_meta(cfg), "power_uw": cfg.power_uw})
 
 
+def _build_drift(steady, params: PhysicalParams, mode: str):
+    return (build_drift_y if mode == "y" else build_drift_x)(steady, params)
+
+
 def _operating_point(cfg: RunConfig, mode: str, log):
     """Parameters, branch and stable ``mode`` model; warnings go to ``log``."""
     if mode not in ("x", "y"):
         raise ValidationError(f"mode must be 'x' or 'y', got {mode!r}")
     params = build_params(cfg)
     steady = select_branch(cfg, params)
-    build = build_drift_y if mode == "y" else build_drift_x
-    model = build(steady, params)
+    model = _build_drift(steady, params, mode)
     if not model.is_stable:
         raise NumericalError(
             f"{mode}-mode fluctuations unstable on branch "
@@ -416,13 +428,10 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y",
     sim_model = model
     if cfg.oracle_perturb_sx != 0.0:
         factor = 1.0 + cfg.oracle_perturb_sx
-        if factor <= 0.0:
-            raise ValidationError("oracle_perturb_sx must exceed -1")
         scaled = replace(steady,
                          alpha_x=steady.alpha_x * math.sqrt(factor),
                          s_x=steady.s_x * factor)
-        build = build_drift_y if mode == "y" else build_drift_x
-        sim_model = build(scaled, params)
+        sim_model = _build_drift(scaled, params, mode)
         if not sim_model.is_stable:
             raise NumericalError("perturbed oracle model is unstable")
 

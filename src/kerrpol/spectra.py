@@ -17,7 +17,8 @@ steady state gives
 with s the saturation and phi = arg(alpha_x).  The conjugate coupling of the
 driven mode is exactly twice that of the orthogonal mode: the self-Kerr term
 -i*delta_0*c*A^2*A+ differentiates to two cross terms, the cross-Kerr bracket
-contributes only one (expansion recorded here once; asserted in the tests).
+contributes only one (expansion recorded here once and coded once, in
+:func:`kerrpol.steady.linearized_drift`; asserted in the tests).
 
 Input-output uses the single-port convention b = sqrt(2*kappa)*a - a_in, so
 the sideband transfer is T(w) = 2*kappa*(-i*w - M)^(-1) - 1 and the
@@ -39,7 +40,8 @@ import numpy as np
 from .errors import (NumericalError, SingularTransferError,
                      UnstableModelError, ValidationError)
 from .params import PhysicalParams
-from .steady import SteadyState, kerr_coefficient, linear_dephasing
+from .steady import (SteadyState, drift_margin, kerr_coefficient,
+                     linear_dephasing, linearized_drift)
 
 # Tolerated imaginary residue of the spectrum quadratic form, relative to
 # max(1, |Re|).
@@ -82,10 +84,7 @@ class FluctuationModel:
     @property
     def stability_margin(self) -> float:
         """Largest real part of the drift eigenvalues (rad/s)."""
-        radicand = abs(self.m12) ** 2 - self.m11.imag ** 2
-        if radicand <= 0.0:
-            return -self.kappa
-        return -self.kappa + math.sqrt(radicand)
+        return drift_margin(self.kappa, self.m11, self.m12)
 
     @property
     def is_stable(self) -> bool:
@@ -124,28 +123,23 @@ def drift_y_nonlinear(b: complex, alpha_x: complex, params: PhysicalParams,
                - alpha_x * alpha_x * b.conjugate()))
 
 
+def _build_drift(steady: SteadyState, params: PhysicalParams,
+                 mode: str) -> FluctuationModel:
+    m11, m12 = linearized_drift(mode, params.kappa, steady.delta_c,
+                                steady.delta_0, steady.s_x)
+    phase = cmath.exp(2j * cmath.phase(steady.alpha_x)) if steady.alpha_x else 1.0
+    return FluctuationModel(mode_label=mode, m11=m11, m12=m12 * phase,
+                            kappa=params.kappa, steady_ref=steady)
+
+
 def build_drift_x(steady: SteadyState, params: PhysicalParams) -> FluctuationModel:
     """Linearized drift of the driven mode around ``steady``."""
-    d0, s = steady.delta_0, steady.s_x
-    phase = cmath.exp(2j * cmath.phase(steady.alpha_x)) if steady.alpha_x else 1.0
-    return FluctuationModel(
-        mode_label="x",
-        m11=-params.kappa - 1j * (steady.delta_c - d0 + 2.0 * d0 * s),
-        m12=-1j * d0 * s * phase,
-        kappa=params.kappa,
-        steady_ref=steady)
+    return _build_drift(steady, params, "x")
 
 
 def build_drift_y(steady: SteadyState, params: PhysicalParams) -> FluctuationModel:
     """Linearized drift of the orthogonal (vacuum) mode around ``steady``."""
-    d0, s = steady.delta_0, steady.s_x
-    phase = cmath.exp(2j * cmath.phase(steady.alpha_x)) if steady.alpha_x else 1.0
-    return FluctuationModel(
-        mode_label="y",
-        m11=-params.kappa - 1j * (steady.delta_c - d0 + d0 * s),
-        m12=1j * d0 * (s / 2.0) * phase,
-        kappa=params.kappa,
-        steady_ref=steady)
+    return _build_drift(steady, params, "y")
 
 
 def _transfer_entries(model: FluctuationModel, omega):

@@ -15,9 +15,10 @@ collective dephasing.  One or three positive roots exist; the fold of the
 S-curve (d P/d I = 0) bounds the bistable window and the negative-slope
 branch is dynamically unstable.
 
-The orthogonal (undriven) polarization mode has its own linear drift whose
-eigenvalues decide whether the linearly polarized solution survives; its
-largest real part is reported as ``y_mode_margin`` (negative = stable).
+Each mode's linearized drift (see :mod:`kerrpol.spectra`) has eigenvalues
+-kappa +/- sqrt(|m12|^2 - Im(m11)^2), hence the stability margin
+-kappa + sqrt(max(0, |m12|^2 - Im(m11)^2)).  The driven mode's margin sets
+``mean_field_stable``; the orthogonal mode's is ``y_mode_margin``, < 0 if stable.
 """
 
 from __future__ import annotations
@@ -85,13 +86,23 @@ class SteadyState:
         return abs(self.alpha_x) ** 2
 
 
-def _stability_margin(kappa: float, detuning: float, conj_coupling: float) -> float:
-    """max Re(eigenvalue) of [[-k-i*d, m12], [conj(m12), -k+i*d]].
+def linearized_drift(mode: str, kappa: float, delta_c: float, delta_0: float,
+                     s: float) -> tuple[complex, complex]:
+    """Drift entries (m11, m12) of the ``mode`` ('x' or 'y') fluctuations.
 
-    Closed form -kappa + sqrt(max(0, |m12|^2 - d^2)); valid for any complex
-    m12 with |m12| = conj_coupling.
+    m12 is given for real alpha_x; a drive phase phi multiplies it by
+    e^{2i*phi}, which leaves the margin unchanged.
     """
-    radicand = conj_coupling ** 2 - detuning ** 2
+    if mode == "x":
+        return (-kappa - 1j * (delta_c - delta_0 + 2.0 * delta_0 * s),
+                -1j * delta_0 * s)
+    return (-kappa - 1j * (delta_c - delta_0 + delta_0 * s),
+            1j * delta_0 * (s / 2.0))
+
+
+def drift_margin(kappa: float, m11: complex, m12: complex) -> float:
+    """Largest real part of the drift eigenvalues (rad/s), in closed form."""
+    radicand = abs(m12) ** 2 - m11.imag ** 2
     if radicand <= 0.0:
         return -kappa
     return -kappa + math.sqrt(radicand)
@@ -99,22 +110,17 @@ def _stability_margin(kappa: float, detuning: float, conj_coupling: float) -> fl
 
 def x_mode_margin(steady: "SteadyState", params: PhysicalParams) -> float:
     """Stability margin of the driven-mode linearization (rad/s)."""
-    d0, s = steady.delta_0, steady.s_x
-    det = steady.delta_c - d0 + 2.0 * d0 * s
-    return _stability_margin(params.kappa, det, abs(d0 * s))
+    return drift_margin(params.kappa, *linearized_drift(
+        "x", params.kappa, steady.delta_c, steady.delta_0, steady.s_x))
 
 
 def y_mode_stability(steady: "SteadyState", params: PhysicalParams) -> float:
     """Stability margin of the orthogonal-mode linearization (rad/s).
 
-    Closed form -kappa + sqrt(max(0, chi^2 - d_y^2)) with
-    d_y = delta_c - delta_0 + delta_0*s and chi = delta_0*s/2.  Negative
-    margin means the linear polarization is stable; crossing zero is the
-    oscillation threshold of the orthogonal mode.
+    Negative: linear polarization stable; zero: the oscillation threshold.
     """
-    d0, s = steady.delta_0, steady.s_x
-    det = steady.delta_c - d0 + d0 * s
-    return _stability_margin(params.kappa, det, abs(d0 * s / 2.0))
+    return drift_margin(params.kappa, *linearized_drift(
+        "y", params.kappa, steady.delta_c, steady.delta_0, steady.s_x))
 
 
 def cubic_coefficients(params: PhysicalParams, power: float,
@@ -176,26 +182,17 @@ def steady_states(params: PhysicalParams, drive: DriveField,
     positive, and satisfies the complex steady-state relation to within
     ``RESIDUAL_RTOL``.
     """
-    power = drive.power
     d0 = linear_dephasing(params)
     kappa = params.kappa
-
-    if power == 0.0:
-        zero = SteadyState(alpha_x=0j, s_x=0.0, delta_c=delta_c, delta_0=d0,
-                           branch_index=0, mean_field_stable=True,
-                           y_mode_margin=-kappa, alpha_in=0j)
-        return [zero]
-
-    roots = _cubic_real_roots(cubic_coefficients(params, power, delta_c))
+    roots = _cubic_real_roots(cubic_coefficients(params, drive.power, delta_c))
     branches = []
     for idx, intensity in enumerate(roots):
         alpha_x = complex(math.sqrt(intensity))
         s = saturation(alpha_x, params)   # exact by construction
         det = delta_c - d0 + d0 * s  # D(I)
         alpha_in = (kappa + 1j * det) * alpha_x / math.sqrt(2.0 * kappa)
-        margin_x = _stability_margin(kappa, delta_c - d0 + 2.0 * d0 * s,
-                                     abs(d0 * s))
-        margin_y = _stability_margin(kappa, det, abs(d0 * s / 2.0))
+        margin_x = drift_margin(kappa, *linearized_drift("x", kappa, delta_c, d0, s))
+        margin_y = drift_margin(kappa, *linearized_drift("y", kappa, delta_c, d0, s))
         branches.append(SteadyState(
             alpha_x=alpha_x, s_x=s, delta_c=delta_c, delta_0=d0,
             branch_index=idx, mean_field_stable=margin_x < 0.0,

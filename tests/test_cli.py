@@ -5,6 +5,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -86,6 +87,75 @@ def test_validation_reports_default_or_line():
         cli.parse_config("transmission = 1.5\n")
     with pytest.raises(kp.ValidationError, match="oracle_duration"):
         cli.parse_config("oracle_duration = 0.0\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, template", [
+    ("kappa_mhz", "{}"), ("delta_c_mhz", "{}"), ("scan_step_mhz", "{}"),
+    ("oracle_duration", "{}"), ("oracle_perturb_sx", "{}"),
+    ("freqs_mhz", "{}"), ("freqs_mhz", "3.0, {}, 6.0")])
+def test_non_finite_values_rejected_with_line_number(key, template, value):
+    with pytest.raises(kp.ValidationError, match=f"line 1.*{key}"):
+        cli.parse_config(f"{key} = {template.format(value)}\n")
+
+
+def test_perturbation_at_or_below_minus_one_rejected_on_validate(tmp_path,
+                                                                 capsys):
+    path = write_config(tmp_path, "oracle_perturb_sx = -2")
+    lines = (tmp_path / "run.cfg").read_text().splitlines()
+    lineno = lines.index("oracle_perturb_sx = -2") + 1
+    assert cli.main(["validate", "--config", path]) == 1
+    assert f"line {lineno}: oracle_perturb_sx" in capsys.readouterr().err
+    with pytest.raises(kp.ValidationError, match="line 1.*oracle_perturb_sx"):
+        cli.parse_config("oracle_perturb_sx = -1.0\n")
+
+
+def finite(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def run_configs(draw):
+    """Finite RunConfig values that pass validation."""
+    perp, par = draw(finite(0.0, 1e3)), draw(finite(0.0, 1e3))
+    scan_start = draw(finite(-1e3, 1e3))
+    theta_start = draw(finite(-360.0, 360.0))
+    dt = draw(finite(1e-12, 1e-6))
+    return cli.RunConfig(
+        kappa_mhz=draw(finite(1e-3, 1e3)),
+        gamma_perp_mhz=perp, gamma_par_mhz=par, gamma_mhz=perp + par,
+        delta_mhz=draw(finite(-1e4, 1e4).filter(lambda d: d != 0.0)),
+        transmission=draw(finite(0.0, 1.0, exclude_min=True)),
+        n_atoms=draw(finite(0.0, 1e12)),
+        g_coupling_mhz=draw(finite(-1.0, 1.0)),
+        eta_det=draw(finite(0.0, 1.0, exclude_min=True)),
+        power_uw=draw(finite(0.0, 1e3)),
+        flux_per_uw=draw(finite(1.0, 1e25)),
+        delta_c_mhz=draw(finite(-1e4, 1e4)),
+        branch=draw(st.sampled_from(["high", "low", "0", "2"])),
+        scan_start_mhz=scan_start,
+        scan_stop_mhz=scan_start + draw(finite(1.0, 1e3)),
+        scan_step_mhz=draw(finite(1e-3, 1e3)),
+        freqs_mhz=tuple(draw(st.lists(finite(1e-3, 1e3), min_size=1,
+                                      max_size=4))),
+        theta_start_deg=theta_start,
+        theta_stop_deg=theta_start + draw(finite(1.0, 720.0)),
+        theta_points=draw(st.integers(2, 10000)),
+        oracle_dt=dt,
+        oracle_duration=dt * draw(finite(1000.0, 1e7)),
+        oracle_seed=draw(st.integers(0, 2 ** 32 - 1)),
+        oracle_burn_in=draw(finite(0.0, 0.5)),
+        oracle_segment_length=draw(st.integers(16, 1 << 20)),
+        oracle_overlap=draw(finite(0.0, 0.9)),
+        oracle_perturb_sx=draw(finite(-1.0, 10.0, exclude_min=True)),
+        out_dir=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
+        format=draw(st.sampled_from(["csv", "json"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs())
+def test_render_parse_round_trip(cfg):
+    assert cli.parse_config(cli.render_config(cfg)) == cfg
 
 
 def test_config_hash_ignores_output_destination():
@@ -249,6 +319,15 @@ def test_oracle_zero_duration_config_exits_1(tmp_path, capsys):
     code = cli.main(["oracle", "--config", path, "--out", str(tmp_path)])
     assert code == 1
     assert "oracle_duration" in capsys.readouterr().err
+
+
+def test_oracle_infinite_duration_exits_1_without_report(tmp_path, capsys):
+    path = write_config(tmp_path, "oracle_duration = inf")
+    out = tmp_path / "out"
+    code = cli.main(["oracle", "--config", path, "--out", str(out)])
+    assert code == 1
+    assert "oracle_duration" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):

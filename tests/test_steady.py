@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kerrpol as kp
 
@@ -264,6 +265,28 @@ def test_turning_points_drive_range_filter():
 
 # ---------------------------------------------------------------------------
 # orthogonal-mode stability
+
+@settings(max_examples=200, deadline=None)
+@given(delta0=st.floats(2.0, 30.0), sign=st.sampled_from([-1.0, 1.0]),
+       s=st.floats(0.01, 0.5), det_y=st.floats(-8.0, 8.0))
+def test_branch_flags_equal_model_margins(delta0, sign, s, det_y):
+    # operating points drawn like draw_operating_point, without its
+    # stability rejection: det_y spans the y-mode instability tongue and the
+    # drive at s can be bistable, so both flags take both values
+    delta0 *= sign
+    params = make_params(delta0=delta0)
+    delta_c = delta0 * (1.0 - s) + det_y
+    power = kp.drive_for_intensity(params, delta_c,
+                                   s / kp.kerr_coefficient(params))
+    drive = kp.DriveField.from_power(power)
+    for steady in kp.steady_states(params, drive, delta_c):
+        model_x = kp.build_drift_x(steady, params)
+        model_y = kp.build_drift_y(steady, params)
+        assert steady.mean_field_stable == model_x.is_stable
+        assert steady.y_mode_margin == model_y.stability_margin
+        assert kp.x_mode_margin(steady, params) == model_x.stability_margin
+        assert kp.y_mode_stability(steady, params) == model_y.stability_margin
+
 
 def test_y_margin_without_saturation_is_minus_kappa():
     p = make_params(delta0=-8.0)
