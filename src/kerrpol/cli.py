@@ -74,25 +74,16 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _KEY_ORDER = [f.name for f in fields(RunConfig)]
 
-# keys grouped for the rendered template
-_SECTIONS = [
-    ("cavity and atomic ensemble (rates in MHz = rate / 2pi)",
-     ["kappa_mhz", "gamma_perp_mhz", "gamma_par_mhz", "gamma_mhz",
-      "delta_mhz", "transmission", "n_atoms", "g_coupling_mhz", "eta_det"]),
-    ("drive power and the power -> |alpha_in|^2 calibration",
-     ["power_uw", "flux_per_uw"]),
-    ("operating point for spectrum / stokes / oracle",
-     ["delta_c_mhz", "branch"]),
-    ("cavity scan bounds and step",
-     ["scan_start_mhz", "scan_stop_mhz", "scan_step_mhz"]),
-    ("analysis frequencies and homodyne phase grid",
-     ["freqs_mhz", "theta_start_deg", "theta_stop_deg", "theta_points"]),
-    ("stochastic oracle (dt and duration in seconds)",
-     ["oracle_dt", "oracle_duration", "oracle_seed", "oracle_burn_in",
-      "oracle_segment_length", "oracle_overlap", "oracle_perturb_sx"]),
-    ("output",
-     ["out_dir", "format"]),
-]
+# template section titles, keyed by each section's first key
+_SECTION_TITLES = {
+    "kappa_mhz": "cavity and atomic ensemble (rates in MHz = rate / 2pi)",
+    "power_uw": "drive power and the power -> |alpha_in|^2 calibration",
+    "delta_c_mhz": "operating point for spectrum / stokes / oracle",
+    "scan_start_mhz": "cavity scan bounds and step",
+    "freqs_mhz": "analysis frequencies and homodyne phase grid",
+    "oracle_dt": "stochastic oracle (dt and duration in seconds)",
+    "out_dir": "output",
+}
 
 
 def _finite(raw: str) -> float:
@@ -116,10 +107,11 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def _format_key(key: str, value) -> str:
+def _line(cfg: RunConfig, key: str) -> str:
+    value = getattr(cfg, key)
     if key == "freqs_mhz":
-        return ", ".join(repr(float(v)) for v in value)
-    return format_value(value)
+        return f"{key} = " + ", ".join(repr(float(v)) for v in value)
+    return f"{key} = {format_value(value)}"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -160,22 +152,18 @@ def parse_config(text: str) -> RunConfig:
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical key=value rendering; comments excluded."""
-    out = []
-    for key in _KEY_ORDER:
-        out.append(f"{key} = {_format_key(key, getattr(cfg, key))}")
-    return "\n".join(out) + "\n"
+    return "\n".join(_line(cfg, key) for key in _KEY_ORDER) + "\n"
 
 
 def config_template(cfg: RunConfig | None = None) -> str:
     """Commented configuration template with canonical values."""
     cfg = cfg or RunConfig()
-    blocks = []
-    for title, keys in _SECTIONS:
-        blocks.append(f"# {title}")
-        for key in keys:
-            blocks.append(f"{key} = {_format_key(key, getattr(cfg, key))}")
-        blocks.append("")
-    return "\n".join(blocks)
+    lines = []
+    for key in _KEY_ORDER:
+        if key in _SECTION_TITLES:
+            lines += ["", f"# {_SECTION_TITLES[key]}"]
+        lines.append(_line(cfg, key))
+    return "\n".join(lines[1:]) + "\n"
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -184,9 +172,8 @@ def config_hash(cfg: RunConfig) -> str:
     Output destination and format do not alter the computed numbers and are
     excluded, so runs into different directories stay byte-comparable.
     """
-    physics = "\n".join(
-        f"{key} = {_format_key(key, getattr(cfg, key))}"
-        for key in _KEY_ORDER if key not in ("out_dir", "format"))
+    physics = "\n".join(_line(cfg, key) for key in _KEY_ORDER
+                        if key not in ("out_dir", "format"))
     return hashlib.sha256(physics.encode()).hexdigest()[:16]
 
 

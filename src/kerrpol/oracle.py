@@ -304,41 +304,25 @@ class ComparisonReport:
                 "passed": bool(self.passed)}
 
 
-def compare(analytic: NoiseSpectrum, empirical: PsdEstimate,
-            rtol: float = 1e-9) -> ComparisonReport:
-    """z-score table (analytic - empirical)/stderr on the common grid.
+def compare(analytic: NoiseSpectrum, empirical: PsdEstimate) -> ComparisonReport:
+    """z-score table (analytic - empirical)/stderr, point by point.
 
-    Frequencies are matched within ``rtol``; phases must match exactly.
-    Passes when at least 95% of the compared points satisfy |z| <= 3.  A
-    non-finite estimate or an error bar that is not finite and > 0 raises.
+    ``analytic`` must be evaluated at the estimate's own grid: exactly its
+    ``omega`` and ``thetas``, in order, with ``psd`` of the same shape.
+    Passes when at least 95% of the points satisfy |z| <= 3.  A non-finite
+    estimate or an error bar that is not finite and > 0 raises.
     """
-    theta_cols = []
-    for t in empirical.thetas:
-        matches = np.nonzero(np.abs(analytic.theta - t) <= 1e-12)[0]
-        if matches.size == 0:
-            raise ValidationError(
-                f"analytic spectrum does not cover theta = {t!r}")
-        theta_cols.append(int(matches[0]))
-
-    omega_pairs = []
-    for i, w in enumerate(analytic.omega):
-        j = int(np.argmin(np.abs(empirical.omega - w)))
-        if abs(empirical.omega[j] - w) <= rtol * max(abs(w), 1.0):
-            omega_pairs.append((i, j))
-    if not omega_pairs:
-        raise ValidationError("analytic and empirical grids are disjoint")
-
-    omega_list, theta_list, ana, emp, err = [], [], [], [], []
-    for i, j in omega_pairs:
-        for k, (t, col) in enumerate(zip(empirical.thetas, theta_cols)):
-            omega_list.append(analytic.omega[i])
-            theta_list.append(t)
-            ana.append(analytic.values[i, col])
-            emp.append(empirical.psd[j, k])
-            err.append(empirical.stderr[j, k])
-    ana = np.array(ana)
-    emp = np.array(emp)
-    err = np.array(err)
+    if not (np.array_equal(analytic.omega, empirical.omega)
+            and np.array_equal(analytic.theta, empirical.thetas)
+            and empirical.psd.shape == empirical.stderr.shape
+            == analytic.values.shape):
+        raise ValidationError(
+            "analytic spectrum must be evaluated at the estimate's own "
+            "omega and theta grid")
+    n_omega, n_theta = analytic.values.shape
+    ana = analytic.values.flatten()
+    emp = empirical.psd.flatten()
+    err = empirical.stderr.flatten()
     if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(err) & (err > 0))):
         raise ValidationError(
             "compared PSD estimates must be finite, with finite stderr > 0")
@@ -346,7 +330,8 @@ def compare(analytic: NoiseSpectrum, empirical: PsdEstimate,
     max_abs = float(np.max(np.abs(z)))
     frac = float(np.mean(np.abs(z) <= 3.0))
     return ComparisonReport(
-        omega=np.array(omega_list), theta=np.array(theta_list),
+        omega=np.repeat(analytic.omega, n_theta),
+        theta=np.tile(empirical.thetas, n_omega),
         analytic=ana, empirical=emp, stderr=err, z=z,
         max_abs_z=max_abs, fraction_within_3=frac,
         passed=frac >= 0.95)

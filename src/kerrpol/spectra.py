@@ -254,8 +254,8 @@ class NoiseSpectrum:
         if np.any(self.values < 0.0):
             raise ValidationError("quadrature noise cannot be negative")
 
-    def theta_index(self, theta: float, atol: float = 1e-12) -> int:
-        match = np.nonzero(np.abs(self.theta - theta) <= atol)[0]
+    def theta_index(self, theta: float) -> int:
+        match = np.nonzero(np.abs(self.theta - theta) <= 1e-12)[0]
         if match.size == 0:
             raise ValidationError(
                 f"spectrum does not cover theta = {theta!r}")
@@ -266,8 +266,8 @@ class NoiseSpectrum:
         return self.values[:, self.theta_index(theta)]
 
 
-def noise_spectrum(model: FluctuationModel, omega_grid, theta_grid,
-                   metadata: dict | None = None) -> NoiseSpectrum:
+def noise_spectrum(model: FluctuationModel, omega_grid,
+                   theta_grid) -> NoiseSpectrum:
     """Vectorized spectrum over an (omega, theta) grid.
 
     Uses the sinusoidal phase decomposition; agrees with
@@ -279,11 +279,10 @@ def noise_spectrum(model: FluctuationModel, omega_grid, theta_grid,
     iso, conj = _phase_quadratic(model, omega)
     values = iso[:, None] + np.real(np.exp(-2j * theta)[None, :] * conj[:, None])
     values = np.where(np.abs(values) < 1e-15, 0.0, values)
-    meta = {"steady": model.steady_ref, "eta_applied": False}
-    if metadata:
-        meta.update(metadata)
     return NoiseSpectrum(omega=omega, theta=theta, values=values,
-                         mode_label=model.mode_label, metadata=meta)
+                         mode_label=model.mode_label,
+                         metadata={"steady": model.steady_ref,
+                                   "eta_applied": False})
 
 
 def model_validity(model: FluctuationModel, params: PhysicalParams,

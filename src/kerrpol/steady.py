@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .params import DriveField, PhysicalParams
 
 # Coincident intensity roots closer than this (relative) are merged.
@@ -50,14 +50,14 @@ def linear_dephasing(params: PhysicalParams) -> float:
 
 def saturation(alpha_x: complex, params: PhysicalParams) -> float:
     """Saturation parameter s = 2 g^2 |alpha_x|^2 / delta^2 (dimensionless)."""
-    if params.delta == 0:
+    if params.delta ** 2 == 0:   # also catches an underflowing square
         raise ValidationError("saturation undefined at zero detuning")
     return 2.0 * params.g_coupling ** 2 * abs(alpha_x) ** 2 / params.delta ** 2
 
 
 def kerr_coefficient(params: PhysicalParams) -> float:
     """Intensity-to-saturation slope c = 2 g^2 / delta^2, so s = c*I."""
-    if params.delta == 0:
+    if params.delta ** 2 == 0:   # also catches an underflowing square
         raise ValidationError("Kerr coefficient undefined at zero detuning")
     return 2.0 * params.g_coupling ** 2 / params.delta ** 2
 
@@ -184,7 +184,10 @@ def steady_states(params: PhysicalParams, drive: DriveField,
     """
     d0 = linear_dephasing(params)
     kappa = params.kappa
-    roots = _cubic_real_roots(cubic_coefficients(params, drive.power, delta_c))
+    coeffs = cubic_coefficients(params, drive.power, delta_c)
+    if not all(map(math.isfinite, coeffs)):
+        raise NumericalError(f"steady-state cubic is not finite: {coeffs}")
+    roots = _cubic_real_roots(coeffs)
     branches = []
     for idx, intensity in enumerate(roots):
         alpha_x = complex(math.sqrt(intensity))
@@ -273,9 +276,6 @@ class ScanResult:
     """
 
     records: tuple[ScanRecord, ...]
-
-    def delta_c_values(self) -> np.ndarray:
-        return np.array([r.delta_c for r in self.records])
 
     def selected_intensity(self) -> np.ndarray:
         return np.array([r.branches[r.selected_branch].intensity

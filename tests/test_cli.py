@@ -235,6 +235,21 @@ def test_spectrum_unstable_point_exits_2(tmp_path, capsys):
     assert "unstable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["scan"], ["spectrum"]])
+@pytest.mark.parametrize("override, code", [
+    ("n_atoms = 1e300", 2),      # cubic coefficients overflow to inf
+    ("power_uw = 1e280", 2),     # the constant term overflows to -inf
+    ("delta_mhz = 1e-300", 1),   # delta ** 2 underflows to 0
+])
+def test_finite_extreme_values_exit_cleanly(tmp_path, capsys, command,
+                                            override, code):
+    path = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    assert cli.main(command + ["--config", path, "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stokes_tables_and_invariants(tmp_path):
     assert cli.main(["stokes", "--config", FIXTURE,
                      "--out", str(tmp_path)]) == 0

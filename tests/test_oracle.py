@@ -545,6 +545,28 @@ def test_compare_rejects_degenerate_error_bars():
     assert report.passed
 
 
+GRID = np.linspace(0.2, 2.0, 6)
+
+
+@pytest.mark.parametrize("omega, thetas, columns", [
+    (GRID[::2], (0.0, 0.5), 2),                            # omega subset
+    (np.sort(np.r_[GRID, GRID[:-1] + 0.1]), (0.0, 0.5), 2),  # omega superset
+    (GRID, (0.0, 0.6), 2),                                 # other theta
+    (GRID, (0.5, 0.0), 2),                                 # reordered thetas
+    (GRID, (0.0,), 2),                                     # theta subset
+    (GRID, (0.0, 0.5), 3),                                 # psd shape
+])
+def test_compare_requires_the_estimate_grid(omega, thetas, columns):
+    # the analytic spectrum must sit on the estimate's own (omega, theta)
+    model, _ = squeezing_model()
+    spec = kp.noise_spectrum(model, omega, thetas)
+    est = kp.PsdEstimate(omega=GRID, psd=np.ones((GRID.size, columns)),
+                         stderr=np.ones((GRID.size, columns)),
+                         n_segments=8, thetas=(0.0, 0.5))
+    with pytest.raises(kp.ValidationError, match="own omega and theta"):
+        kp.compare(spec, est)
+
+
 def test_compare_disjoint_grids_error():
     model, _ = squeezing_model()
     spec = kp.noise_spectrum(model, [0.5, 1.0], (0.0,))

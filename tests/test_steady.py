@@ -178,6 +178,33 @@ def test_three_branches_between_turning_points():
     assert branches[2].mean_field_stable
 
 
+@settings(max_examples=300, deadline=None)
+@given(delta0=st.floats(2.0, 30.0), sign=st.sampled_from([-1.0, 1.0]),
+       dl=st.floats(1.01 * math.sqrt(3.0), 30.0), low_fold=st.booleans(),
+       eps=st.floats(1e-6, 1e-2))
+def test_cubic_roots_near_the_folds(delta0, sign, dl, low_fold, eps):
+    # drive just inside and just outside one fold of the bistable window
+    delta0 *= sign
+    p = make_params(delta0=delta0)
+    delta_c = kp.linear_dephasing(p) - sign * dl   # the fold side
+    (_, p_hi), (_, p_lo) = kp.turning_points(p, None, delta_c)
+    # near the cusp the window is narrower than eps: stay inside it
+    eps_in = min(eps, 0.25 * (p_hi - p_lo) / p_hi)
+    if low_fold:
+        drives = ((p_lo * (1.0 + eps_in), 3), (p_lo * (1.0 - eps), 1))
+    else:
+        drives = ((p_hi * (1.0 - eps_in), 3), (p_hi * (1.0 + eps), 1))
+    for power, count in drives:
+        branches = kp.steady_states(p, kp.DriveField.from_power(power),
+                                    delta_c)
+        assert len(branches) == count
+        for b in branches:
+            bound = (kp.steady.RESIDUAL_RTOL * math.sqrt(2.0 * p.kappa)
+                     * abs(b.alpha_in))
+            assert kp.steady_state_residual(b, p) <= bound
+            assert abs(b.alpha_in) ** 2 == pytest.approx(power, rel=1e-9)
+
+
 def test_residual_invariant_on_random_draws(rng):
     for _ in range(50):
         delta0 = float(rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 30.0))
