@@ -24,9 +24,9 @@ from .oracle import (PsdEstimate, TrajectoryConfig, compare, kernel_backend,
 from .params import DriveField, PhysicalParams, TWO_PI_MHZ
 from .spectra import (build_drift_x, build_drift_y, fold_angle,
                       min_max_spectrum, model_validity, noise_spectrum)
-from .steady import cavity_scan, steady_states
+from .steady import cavity_scan, cubic_coefficients, steady_states
 from .stokes import apply_detection_loss, phase_scan_dataset, stokes_noise
-from .tables import OutputTable, finite_json, format_value, write_text
+from .tables import OutputTable, finite_json, write_text
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ def _line(cfg: RunConfig, key: str) -> str:
     value = getattr(cfg, key)
     if key == "freqs_mhz":
         return f"{key} = " + ", ".join(repr(float(v)) for v in value)
-    return f"{key} = {format_value(value)}"
+    return f"{key} = {float(value)!r}" if isinstance(value, float) \
+        else f"{key} = {value}"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -231,6 +232,21 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
         fail("oracle_perturb_sx", "must exceed -1")
     if cfg.format not in ("csv", "json"):
         fail("format", "must be 'csv' or 'json'")
+    # every command solves the steady-state cubic: a3 and a0 are alike at
+    # every detuning, |a2| and |a1| peak at a scan end or the operating point
+    params, power = build_params(cfg), build_drive(cfg).power
+    for key in ("n_atoms", "delta_c_mhz", "scan_start_mhz", "scan_stop_mhz"):
+        delta_c = 0.0 if key == "n_atoms" else getattr(cfg, key) * TWO_PI_MHZ
+        try:
+            *coeffs, a0 = cubic_coefficients(params, power, delta_c)
+        except ValidationError:   # delta ** 2 underflows to zero
+            fail("delta_mhz", "its square underflows to zero")
+        except ArithmeticError:   # a square overflows
+            coeffs, a0 = [math.inf], 0.0
+        if not math.isfinite(a0):
+            fail("power_uw", "the steady-state cubic is not finite")
+        if not all(map(math.isfinite, coeffs)):
+            fail(key, "the steady-state cubic is not finite")
 
 
 def _is_index(branch: str) -> bool:
@@ -298,19 +314,12 @@ def cmd_scan(cfg: RunConfig) -> OutputTable:
     n_steps = int(math.floor((cfg.scan_stop_mhz - cfg.scan_start_mhz)
                              / cfg.scan_step_mhz + 1e-9)) + 1
     grid_mhz = cfg.scan_start_mhz + cfg.scan_step_mhz * np.arange(n_steps)
-    result = cavity_scan(params, build_drive(cfg), grid_mhz * TWO_PI_MHZ)
-    rows = []
-    for rec_mhz, rec in zip(grid_mhz, result.records):
-        intensities = [b.intensity for b in rec.branches]
-        padded = intensities + [None] * (3 - len(intensities))
-        sel = rec.branches[rec.selected_branch]
-        rows.append((float(rec_mhz), len(rec.branches),
-                     padded[0], padded[1], padded[2],
-                     rec.selected_branch,
-                     rec.transmitted_intensity_plus,
-                     rec.transmitted_intensity_minus,
-                     sel.mean_field_stable,
-                     rec.linear_polarization_stable))
+    records = cavity_scan(params, build_drive(cfg),
+                          grid_mhz * TWO_PI_MHZ).records
+    intensity = [[None] * n_steps for _ in range(3)]
+    for i, rec in enumerate(records):
+        for b in rec.branches:
+            intensity[b.branch_index][i] = b.intensity
     return OutputTable(
         name="scan",
         columns=["delta_c_mhz", "n_branches", "intensity_branch0",
@@ -319,7 +328,13 @@ def cmd_scan(cfg: RunConfig) -> OutputTable:
                  "linear_polarization_stable"],
         units=["MHz", "1", "photon", "photon", "photon", "1", "photon/s",
                "photon/s", "bool", "bool"],
-        rows=rows,
+        data=[grid_mhz, [len(r.branches) for r in records], *intensity,
+              [r.selected_branch for r in records],
+              [r.transmitted_intensity_plus for r in records],
+              [r.transmitted_intensity_minus for r in records],
+              [r.branches[r.selected_branch].mean_field_stable
+               for r in records],
+              [r.linear_polarization_stable for r in records]],
         meta={**_base_meta(cfg), "power_uw": cfg.power_uw})
 
 
@@ -349,23 +364,24 @@ def cmd_spectrum(cfg: RunConfig, mode: str = "y",
                  log=lambda *_: None) -> OutputTable:
     params, steady, model = _operating_point(cfg, mode, log)
     thetas = _theta_grid(cfg)
-    rows = []
-    for freq in cfg.freqs_mhz:
-        omega = freq * TWO_PI_MHZ
-        spec = noise_spectrum(model, [omega], thetas)
-        for theta, value in zip(thetas, spec.values[0]):
-            rows.append(("grid", freq, float(theta), float(value),
-                         apply_detection_loss(float(value), params.eta_det)))
-        smin, smax, theta_min = min_max_spectrum(model, omega)
-        rows.append(("min", freq, theta_min, smin,
-                     apply_detection_loss(smin, params.eta_det)))
-        rows.append(("max", freq, fold_angle(theta_min + math.pi / 2.0), smax,
-                     apply_detection_loss(smax, params.eta_det)))
+    freqs = np.array(cfg.freqs_mhz)
+    omegas = freqs * TWO_PI_MHZ
+    # per frequency: the theta grid, then the minimum and the maximum
+    s = np.empty((freqs.size, thetas.size + 2))
+    theta = np.empty_like(s)
+    s[:, :-2] = noise_spectrum(model, omegas, thetas).values
+    theta[:, :-2] = thetas
+    for i, omega in enumerate(omegas.tolist()):
+        s[i, -2], s[i, -1], theta[i, -2] = min_max_spectrum(model, omega)
+        theta[i, -1] = fold_angle(theta[i, -2] + math.pi / 2.0)
+    s = s.ravel()
     return OutputTable(
         name=f"spectrum_{mode}",
         columns=["kind", "omega_mhz", "theta_rad", "s", "s_after_loss"],
         units=["-", "MHz", "rad", "1", "1"],
-        rows=rows,
+        data=[(["grid"] * thetas.size + ["min", "max"]) * freqs.size,
+              np.repeat(freqs, thetas.size + 2), theta.ravel(), s,
+              apply_detection_loss(s, params.eta_det)],
         meta={**_base_meta(cfg), "mode": mode,
               "branch_index": steady.branch_index,
               "s_x": steady.s_x, "eta_det": params.eta_det})
@@ -375,27 +391,28 @@ def cmd_stokes(cfg: RunConfig,
                log=lambda *_: None) -> tuple[OutputTable, OutputTable]:
     params, steady, model = _operating_point(cfg, "y", log)
     thetas = _theta_grid(cfg)
-    scan_rows = []
-    summary_rows = []
-    for freq in cfg.freqs_mhz:
-        omega = freq * TWO_PI_MHZ
-        ds = phase_scan_dataset(model, omega, thetas, eta=params.eta_det)
-        for th, ct, v in zip(ds.theta_hd, ds.cos_theta, ds.v_theta):
-            if not v >= 1.0 - params.eta_det - 1e-12:   # loss floor
-                raise NumericalError(f"scan noise {v:.6g} under the loss floor")
-            scan_rows.append((freq, float(th), float(ct), float(v)))
-        spec = noise_spectrum(model, [omega], np.array([0.0, math.pi / 2.0]))
-        record = stokes_noise(spec, steady.alpha_x)[0]
+    freqs = np.array(cfg.freqs_mhz)
+    omegas = freqs * TWO_PI_MHZ
+    scans = [phase_scan_dataset(model, omega, thetas, eta=params.eta_det)
+             for omega in omegas.tolist()]
+    v_theta = np.concatenate([ds.v_theta for ds in scans])
+    below = ~(v_theta >= 1.0 - params.eta_det - 1e-12)   # loss floor, or NaN
+    if below.any():
+        raise NumericalError(
+            f"scan noise {v_theta[below][0]:.6g} under the loss floor")
+    spec = noise_spectrum(model, omegas, np.array([0.0, math.pi / 2.0]))
+    records = stokes_noise(spec, steady.alpha_x)
+    for record in records:                             # emission re-check
         product = record.uncertainty_product
-        if not product >= 1.0 - 1e-6:                  # emission re-check
+        if not product >= 1.0 - 1e-6:
             raise NumericalError(f"uncertainty product {product:.6g} < 1")
-        summary_rows.append((freq, record.v_s2_norm, record.v_s3_norm,
-                             product))
     scan_table = OutputTable(
         name="stokes_scan",
         columns=["omega_mhz", "theta_hd_rad", "cos_theta", "v_theta"],
         units=["MHz", "rad", "1", "1"],
-        rows=scan_rows,
+        data=[np.repeat(freqs, thetas.size),
+              np.concatenate([ds.theta_hd for ds in scans]),
+              np.concatenate([ds.cos_theta for ds in scans]), v_theta],
         meta={**_base_meta(cfg), "eta_det": params.eta_det,
               "branch_index": steady.branch_index})
     summary_table = OutputTable(
@@ -403,7 +420,9 @@ def cmd_stokes(cfg: RunConfig,
         columns=["omega_mhz", "v_s2_norm", "v_s3_norm",
                  "uncertainty_product"],
         units=["MHz", "1", "1", "1"],
-        rows=summary_rows,
+        data=[freqs, [r.v_s2_norm for r in records],
+              [r.v_s3_norm for r in records],
+              [r.uncertainty_product for r in records]],
         meta={**_base_meta(cfg), "branch_index": steady.branch_index})
     return scan_table, summary_table
 

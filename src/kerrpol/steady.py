@@ -19,6 +19,11 @@ Each mode's linearized drift (see :mod:`kerrpol.spectra`) has eigenvalues
 -kappa +/- sqrt(|m12|^2 - Im(m11)^2), hence the stability margin
 -kappa + sqrt(max(0, |m12|^2 - Im(m11)^2)).  The driven mode's margin sets
 ``mean_field_stable``; the orthogonal mode's is ``y_mode_margin``, < 0 if stable.
+
+The cubic is solved for a whole grid of detunings at once: one companion
+matrix per detuning, all in one ``eigvals`` call, giving the roots of
+``np.roots`` bit for bit; ``cavity_scan`` solves its grid this way and
+``steady_states`` is the same solve on a grid of one.
 """
 
 from __future__ import annotations
@@ -123,71 +128,83 @@ def y_mode_stability(steady: "SteadyState", params: PhysicalParams) -> float:
         "y", params.kappa, steady.delta_c, steady.delta_0, steady.s_x))
 
 
-def cubic_coefficients(params: PhysicalParams, power: float,
-                       delta_c: float) -> tuple[float, float, float, float]:
-    """Coefficients (a3, a2, a1, a0) of the steady-state cubic in I."""
+def cubic_coefficients(params: PhysicalParams, power: float, delta_c):
+    """Coefficients (a3, a2, a1, a0) of the steady-state cubic in I.
+
+    ``delta_c`` may be a 1-D array; a2 and a1 are then arrays like it.
+    """
     d0 = linear_dephasing(params)
     c = kerr_coefficient(params)
     dl = delta_c - d0
     slope = d0 * c
     return (slope ** 2,
             2.0 * dl * slope,
-            params.kappa ** 2 + dl ** 2,
+            params.kappa ** 2 + _square(dl),
             -2.0 * params.kappa * power)
 
 
-def _cubic_real_roots(coeffs: tuple[float, float, float, float]) -> list[float]:
-    """Real non-negative roots of the steady-state cubic, Newton-polished."""
-    a3, a2, a1, a0 = coeffs
-    if a0 == 0.0:
-        return [0.0]
-    # companion-matrix solve; numpy strips leading zeros for degenerate cubics
-    raw = np.roots([a3, a2, a1, a0])
-    scale = max(abs(r) for r in raw)
-    real = [float(r.real) for r in raw
-            if abs(r.imag) <= 1e-9 * max(scale, 1.0) and r.real > 0.0]
+def _square(x):
+    """``x ** 2`` by C ``pow``, as for a Python float, also on arrays (numpy
+    squares arrays as x*x, off in the last bit on ~0.1% of inputs)."""
+    return np.array([v ** 2 for v in x.tolist()]) \
+        if isinstance(x, np.ndarray) else x ** 2
 
-    def f(x: float) -> float:
-        return ((a3 * x + a2) * x + a1) * x + a0
 
-    def fp(x: float) -> float:
-        return (3.0 * a3 * x + 2.0 * a2) * x + a1
+def _real_roots(params: PhysicalParams, power: float,
+                delta_c: np.ndarray) -> list[list[float]]:
+    """Real non-negative roots of the cubic at each detuning, sorted.
 
+    The raw roots equal ``np.roots`` bit for bit: leading zero coefficients
+    are stripped (a3 = a2 = 0 without atoms) and the companion matrices,
+    built as ``np.roots`` builds them, go through one ``eigvals`` call per
+    degree.  Each real root gets up to three Newton steps; coincident roots
+    are merged.
+    """
+    a3, a2, a1, a0 = cubic_coefficients(params, power, delta_c)
+    p = np.empty((len(delta_c), 4))
+    p[:, 0], p[:, 1], p[:, 2], p[:, 3] = a3, a2, a1, a0
+    if not np.isfinite(p).all():
+        bad = p[~np.isfinite(p).all(axis=1)][0]
+        raise NumericalError(
+            f"steady-state cubic is not finite: {tuple(bad.tolist())}")
+    if a0 == 0.0:                       # no drive: the one root I = 0
+        return [[0.0] for _ in p]
+    coeffs = p.tolist()
     polished = []
-    for r in real:
-        for _ in range(3):
-            d = fp(r)
-            if d == 0.0:
-                break
-            step = f(r) / d
-            r -= step
-            if abs(step) <= 1e-16 * abs(r):
-                break
-        polished.append(r)
-    polished.sort()
-
-    merged: list[float] = []
-    for r in polished:
-        if merged and abs(r - merged[-1]) <= MERGE_RTOL * max(abs(r), abs(merged[-1])):
+    lead = np.argmax(p != 0.0, axis=1)
+    for first in set(lead.tolist()) - {3}:
+        rows, k = np.flatnonzero(lead == first), 3 - first
+        companion = np.zeros((rows.size, k, k))
+        companion[:, 1:, :-1] = np.eye(k - 1)
+        companion[:, 0] = -p[rows, first + 1:] / p[rows, first:first + 1]
+        for i, raw in zip(rows.tolist(),
+                          np.linalg.eigvals(companion).tolist()):
+            a3, a2, a1, a0 = coeffs[i]
+            scale = max(max(map(abs, raw)), 1.0)
+            for r in [r.real for r in raw
+                      if abs(r.imag) <= 1e-9 * scale and r.real > 0.0]:
+                for _ in range(3):
+                    d = (3.0 * a3 * r + 2.0 * a2) * r + a1
+                    if d == 0.0:
+                        break
+                    step = (((a3 * r + a2) * r + a1) * r + a0) / d
+                    r -= step
+                    if abs(step) <= 1e-16 * abs(r):
+                        break
+                polished.append((i, r))
+    merged: list[list[float]] = [[] for _ in p]
+    for i, r in sorted(polished):
+        kept = merged[i]
+        if kept and abs(r - kept[-1]) <= MERGE_RTOL * max(abs(r), abs(kept[-1])):
             continue
-        merged.append(r)
+        kept.append(r)
     return merged
 
 
-def steady_states(params: PhysicalParams, drive: DriveField,
-                  delta_c: float) -> list[SteadyState]:
-    """All steady-state branches at one cavity detuning, sorted by intensity.
-
-    Each branch carries its own drive phase such that alpha_x is real and
-    positive, and satisfies the complex steady-state relation to within
-    ``RESIDUAL_RTOL``.
-    """
-    d0 = linear_dephasing(params)
+def _branches(params: PhysicalParams, delta_c: float, d0: float,
+              roots: list[float]) -> list[SteadyState]:
+    """Steady-state branches at one detuning, one per intensity root."""
     kappa = params.kappa
-    coeffs = cubic_coefficients(params, drive.power, delta_c)
-    if not all(map(math.isfinite, coeffs)):
-        raise NumericalError(f"steady-state cubic is not finite: {coeffs}")
-    roots = _cubic_real_roots(coeffs)
     branches = []
     for idx, intensity in enumerate(roots):
         alpha_x = complex(math.sqrt(intensity))
@@ -201,6 +218,18 @@ def steady_states(params: PhysicalParams, drive: DriveField,
             branch_index=idx, mean_field_stable=margin_x < 0.0,
             y_mode_margin=margin_y, alpha_in=alpha_in))
     return branches
+
+
+def steady_states(params: PhysicalParams, drive: DriveField,
+                  delta_c: float) -> list[SteadyState]:
+    """All steady-state branches at one cavity detuning, sorted by intensity.
+
+    Each branch carries its own drive phase such that alpha_x is real and
+    positive, and satisfies the complex steady-state relation to within
+    ``RESIDUAL_RTOL``.
+    """
+    (roots,) = _real_roots(params, drive.power, np.array([delta_c], float))
+    return _branches(params, delta_c, linear_dephasing(params), roots)
 
 
 def steady_state_residual(steady: SteadyState, params: PhysicalParams) -> float:
@@ -296,10 +325,12 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValidationError("detuning grid must be strictly monotone")
 
+    d0 = linear_dephasing(params)
     records = []
     previous_intensity: float | None = None
-    for delta_c in grid:
-        branches = steady_states(params, drive, float(delta_c))
+    for delta_c, roots in zip(grid.tolist(),
+                              _real_roots(params, drive.power, grid)):
+        branches = _branches(params, delta_c, d0, roots)
         stable = [b for b in branches if b.mean_field_stable]
         candidates = stable if stable else list(branches)
         if previous_intensity is None:
@@ -310,7 +341,7 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
         previous_intensity = selected.intensity
         flux = 2.0 * params.kappa * selected.intensity
         records.append(ScanRecord(
-            delta_c=float(delta_c),
+            delta_c=delta_c,
             branches=tuple(branches),
             selected_branch=selected.branch_index,
             transmitted_intensity_plus=0.5 * flux,

@@ -1,45 +1,76 @@
 """Deterministic tabular output: CSV with a #-metadata header, JSON mirror.
 
-Floats are rendered with ``repr`` (shortest round-trip form) and the
-metadata never includes timestamps, so identical inputs produce
-byte-identical files.  A NaN or infinity never reaches a file: rendering
-raises ``NumericalError`` instead.
+A table is held as columns, each of one type plus ``None`` (a missing cell),
+and each column is rendered whole, a block of rows at a time: floats with
+``repr`` (shortest round-trip form), ints with ``str``, bools as
+``true``/``false``, strings as CSV fields or JSON strings, ``None`` as an
+empty field or ``null``.  CSV lines are the columns' texts zipped together,
+and the JSON text equals ``json.dumps(..., indent=2)`` of the same rows.
+Metadata never includes timestamps, so identical inputs give byte-identical
+files.  A NaN or infinity never reaches a file: building the table raises
+``NumericalError``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-
-def format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if hasattr(value, "item"):          # numpy scalar
-        value = value.item()
-        return format_value(value)
-    if isinstance(value, float):
-        return repr(value)
-    raise ValidationError(f"cannot format value of type {type(value)!r}")
+_NULL = {"csv": "", "json": "null"}
+_BLOCK_ROWS = 4096    # rows rendered per pass: bounds the cell texts held
 
 
-def _cell(value):
-    """Plain Python value of a table cell; NaN and infinity raise."""
-    if hasattr(value, "item"):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        raise NumericalError(f"refusing to write non-finite value {value!r}")
-    return value
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted only where it must be."""
+    quote = any(ch in text for ch in ',"\r\n')
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
+def _column(name: str, values) -> tuple:
+    """(kind, values, missing): a typed array, or a list for kind 'U'
+    (strings), and the mask of the None cells, or None if there are none."""
+    missing = None
+    if isinstance(values, (list, tuple)):
+        missing = np.array([v is None for v in values], dtype=bool)
+        present = [v for v in values if v is not None]
+        if present and all(map(isinstance, present, repeat(str))):
+            return "U", [v or "" for v in values], \
+                missing if missing.any() else None
+        values = np.zeros(len(missing), np.asarray(present).dtype)
+        values[~missing] = present
+        missing = missing if missing.any() else None
+    values = np.asarray(values)
+    if values.dtype.kind not in "fiub":
+        raise ValidationError(f"cannot write column {name!r} of {values.dtype}")
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        raise NumericalError(f"refusing to write non-finite values in {name!r}")
+    if values.ndim != 1:
+        raise ValidationError(f"column {name!r} is not one-dimensional")
+    return values.dtype.kind, values, missing
+
+
+def _texts(column: tuple, fmt: str, rows: slice) -> list[str]:
+    """Cell texts of ``rows`` of one column in ``fmt`` ('csv' or 'json')."""
+    kind, values, missing = column
+    values = values[rows]
+    if kind == "U":
+        quote = _csv_field if fmt == "csv" else json.dumps
+        memo = {v: quote(v) for v in set(values)}
+        texts = list(map(memo.__getitem__, values))
+    elif kind == "b":
+        texts = np.where(values, "true", "false").tolist()
+    else:
+        texts = list(map(float.__repr__ if kind == "f" else str,
+                         values.tolist()))
+    if missing is not None:
+        for i in np.flatnonzero(missing[rows]).tolist():
+            texts[i] = _NULL[fmt]
+    return texts
 
 
 def finite_json(payload) -> str:
@@ -50,44 +81,68 @@ def finite_json(payload) -> str:
         raise NumericalError(f"non-finite number in output ({exc})") from None
 
 
-@dataclass
 class OutputTable:
-    """Rectangular numeric table with per-column units and metadata."""
+    """Rectangular table with per-column units and metadata; the cells come
+    as ``data``, one sequence per column, or as ``rows``, transposed once."""
 
-    name: str
-    columns: list[str]
-    units: list[str]
-    rows: list[tuple] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if len(self.columns) != len(self.units):
+    def __init__(self, name: str, columns: list[str], units: list[str],
+                 rows=(), meta: dict | None = None, *, data=None) -> None:
+        if len(columns) != len(units):
             raise ValidationError("every column needs a declared unit")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ValidationError(
-                    f"row {i} has {len(row)} fields, expected "
-                    f"{len(self.columns)}")
+        if data is None:
+            for i, row in enumerate(rows):
+                if len(row) != len(columns):
+                    raise ValidationError(f"row {i} has {len(row)} fields, "
+                                          f"expected {len(columns)}")
+            data = list(zip(*rows)) or [()] * len(columns)
+        self.name, self.columns, self.units = name, list(columns), list(units)
+        self.data, self.meta = list(data), dict(meta or {})
+        self._columns = [_column(c, v) for c, v in zip(columns, self.data)]
+        if len(self.data) != len(columns) or \
+                len({len(c[1]) for c in self._columns}) > 1:
+            raise ValidationError("columns of unequal length or number")
+        self._meta = {k: _column(k, [v]) for k, v in self.meta.items()}
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                          for c in self.data)))
+
+    def _blocks(self, fmt: str, cell_sep: str, row_sep: str,
+                prefix: str = "", suffix: str = "") -> list[str]:
+        n = len(self._columns[0][1]) if self._columns else 0
+        blocks = []
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            cells = [_texts(c, fmt, rows) for c in self._columns]
+            if fmt == "csv" and len(cells) == 1:   # a lone empty field
+                cells = [[t or '""' for t in cells[0]]]   # must be quoted
+            blocks.append(prefix + row_sep.join(map(cell_sep.join,
+                                                    zip(*cells))) + suffix)
+        return blocks
 
     def to_csv_text(self) -> str:
         lines = [f"# table: {self.name}"]
-        for key, value in self.meta.items():
-            lines.append(f"# {key}: {format_value(_cell(value))}")
+        lines += [f"# {k}: {_texts(c, 'csv', slice(None))[0]}"
+                  for k, c in self._meta.items()]
         lines.append("# units: " + ",".join(self.units))
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(format_value(_cell(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        lines.append(",".join(map(_csv_field, self.columns)) or '""')
+        return "\n".join(lines + self._blocks("csv", ",", "\n")) + "\n"
 
     def to_json_text(self) -> str:
-        payload = {
+        head = finite_json({
             "table": self.name,
-            "meta": {k: _cell(v) for k, v in self.meta.items()},
-            "columns": list(self.columns),
-            "units": list(self.units),
-            "rows": [[_cell(v) for v in row] for row in self.rows],
-        }
-        return finite_json(payload)
+            "meta": {k: v.item() if isinstance(v, np.generic) else v
+                     for k, v in self.meta.items()},
+            "columns": self.columns, "units": self.units,
+        })[:-3] + ',\n  "rows": '
+        blocks = self._blocks("json", ",\n      ", "\n    ],\n    [\n      ",
+                              "    [\n      ", "\n    ]")
+        if not blocks:
+            return head + "[]\n}\n"
+        blocks[0] = head + "[\n" + blocks[0]      # no copy of the whole text
+        blocks[-1] += "\n  ]\n}\n"
+        return ",\n".join(blocks)
 
     def write(self, directory, fmt: str) -> str:
         """Write under ``directory`` as <name>.<fmt>; returns the path."""

@@ -152,8 +152,17 @@ def run_configs(draw):
         format=draw(st.sampled_from(["csv", "json"])))
 
 
+def passes_validation(cfg):
+    # the drawn extremes include configs whose steady-state cubic overflows
+    try:
+        cli._validate_config(cfg, {})
+    except kp.ValidationError:
+        return False
+    return True
+
+
 @settings(max_examples=200, deadline=None)
-@given(cfg=run_configs())
+@given(cfg=run_configs().filter(passes_validation))
 def test_render_parse_round_trip(cfg):
     assert cli.parse_config(cli.render_config(cfg)) == cfg
 
@@ -237,8 +246,8 @@ def test_spectrum_unstable_point_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["scan"], ["spectrum"]])
 @pytest.mark.parametrize("override, code", [
-    ("n_atoms = 1e300", 2),      # cubic coefficients overflow to inf
-    ("power_uw = 1e280", 2),     # the constant term overflows to -inf
+    ("n_atoms = 1e300", 1),      # cubic coefficients overflow to inf
+    ("power_uw = 1e280", 1),     # the constant term overflows to -inf
     ("delta_mhz = 1e-300", 1),   # delta ** 2 underflows to 0
 ])
 def test_finite_extreme_values_exit_cleanly(tmp_path, capsys, command,
@@ -248,6 +257,19 @@ def test_finite_extreme_values_exit_cleanly(tmp_path, capsys, command,
     assert cli.main(command + ["--config", path, "--out", str(out)]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("n_atoms = 1e300", "n_atoms"), ("power_uw = 1e280", "power_uw"),
+    ("delta_mhz = 1e-300", "delta_mhz"), ("scan_stop_mhz = 1e300",
+                                          "scan_stop_mhz")])
+def test_validate_rejects_an_unsolvable_cubic_with_line_number(
+        tmp_path, capsys, override, key):
+    path = write_config(tmp_path, override)
+    lines = (tmp_path / "run.cfg").read_text().splitlines()
+    lineno = lines.index(override) + 1
+    assert cli.main(["validate", "--config", path]) == 1
+    assert f"config line {lineno}: {key}:" in capsys.readouterr().err
 
 
 def test_stokes_tables_and_invariants(tmp_path):
@@ -375,11 +397,11 @@ def test_json_format_mirrors_schema(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["scan"],
-    ["spectrum", "--mode", "y"],
-    ["spectrum", "--mode", "x"],
-    ["stokes"],
-])
+    [*command, *fmt] for fmt in ([], ["--format", "json"]) for command in (
+        ["scan"],
+        ["spectrum", "--mode", "y"],
+        ["spectrum", "--mode", "x"],
+        ["stokes"])])
 def test_commands_byte_identical_across_runs(tmp_path, command):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

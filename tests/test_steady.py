@@ -427,3 +427,67 @@ def test_scan_rejects_non_monotone_grid():
     with pytest.raises(kp.ValidationError):
         kp.cavity_scan(p, kp.DriveField.from_power(1.0),
                        np.array([0.0, 1.0, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# the batched cubic solve against the per-point one
+
+def per_point_roots(coeffs):
+    """One point the way it was solved before the batched core: np.roots,
+    then up to three Newton steps per real root, sort, merge."""
+    a3, a2, a1, a0 = coeffs
+    if a0 == 0.0:
+        return [0.0]
+    raw = np.roots([a3, a2, a1, a0])
+    scale = max(abs(r) for r in raw)
+    polished = []
+    for r in [float(r.real) for r in raw
+              if abs(r.imag) <= 1e-9 * max(scale, 1.0) and r.real > 0.0]:
+        for _ in range(3):
+            d = (3.0 * a3 * r + 2.0 * a2) * r + a1
+            if d == 0.0:
+                break
+            step = (((a3 * r + a2) * r + a1) * r + a0) / d
+            r -= step
+            if abs(step) <= 1e-16 * abs(r):
+                break
+        polished.append(r)
+    merged = []
+    for r in sorted(polished):
+        if merged and abs(r - merged[-1]) <= kp.steady.MERGE_RTOL * max(
+                abs(r), abs(merged[-1])):
+            continue
+        merged.append(r)
+    return merged
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta0=st.floats(2.0, 30.0), sign=st.sampled_from([-1.0, 1.0]),
+       dl=st.floats(1.01 * math.sqrt(3.0), 30.0), inside=st.floats(0.05, 0.95),
+       width=st.floats(1.0, 80.0), n=st.integers(2, 300),
+       case=st.sampled_from(["fold", "no atoms", "no drive"]))
+def test_batched_roots_equal_the_per_point_solve(delta0, sign, dl, inside,
+                                                 width, n, case):
+    # a grid across the bistable window of a drive inside it, plus the
+    # window's centre detuning; the degenerate cubics of an empty cavity
+    # (degree 1) and of zero drive (the root 0) on the same grids
+    delta0 *= sign
+    p = make_params(delta0=delta0)
+    delta_c = kp.linear_dephasing(p) - sign * dl
+    (_, p_hi), (_, p_lo) = kp.turning_points(p, None, delta_c)
+    power = p_lo + inside * (p_hi - p_lo)
+    if case == "no atoms":
+        p = make_params(delta0=0.0)
+    elif case == "no drive":
+        power = 0.0
+    grid = np.append(np.linspace(delta_c - width, delta_c + width, n),
+                     delta_c)
+    batched = kp.steady._real_roots(p, power, grid)
+    assert len(batched) == grid.size
+    for roots, point in zip(batched, grid.tolist()):
+        assert roots == per_point_roots(
+            kp.steady.cubic_coefficients(p, power, point))
+    if case == "fold":
+        assert len(batched[-1]) == 3
+    else:
+        assert all(len(roots) == 1 for roots in batched)

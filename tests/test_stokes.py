@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kerrpol as kp
 
@@ -252,3 +253,62 @@ def test_phase_scan_respects_loss_floor(rng):
     # pre-loss values recoverable
     bare = kp.noise_spectrum(model, [0.4], thetas).values[0]
     assert np.allclose(kp.recover_lossless(ds.v_theta, eta), bare, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# invariants on whole grids of drawn stable operating points
+
+def stable_points(mode="y"):
+    """(params, steady, model) from draw_operating_point, the model of
+    ``mode`` stable, for a hypothesis-drawn seed."""
+    def point(seed):
+        params, steady = draw_operating_point(np.random.default_rng(seed),
+                                              require_x_stable=mode == "x")
+        build = kp.build_drift_x if mode == "x" else kp.build_drift_y
+        return params, steady, build(steady, params)
+    return st.integers(0, 2 ** 32 - 1).map(point)
+
+
+GRID_OMEGAS = np.linspace(0.0, 3.0, 31)
+GRID_THETAS = np.linspace(-math.pi, math.pi, 49)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=st.one_of(stable_points("y"), stable_points("x")))
+def test_purity_on_whole_grids(point):
+    _, _, model = point
+    values = kp.noise_spectrum(model, GRID_OMEGAS, GRID_THETAS).values
+    for w, row in zip(GRID_OMEGAS, values):
+        smin, smax, _ = kp.min_max_spectrum(model, w)
+        assert abs(smin * smax - 1.0) <= 1e-9
+        assert smin - 1e-12 <= row.min() and row.max() <= smax + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=stable_points("y"), eta=st.floats(0.05, 1.0))
+def test_stokes_uncertainty_on_whole_grids(point, eta):
+    _, steady, model = point
+    spec = kp.noise_spectrum(model, GRID_OMEGAS, [0.0, math.pi / 2.0])
+    for record in kp.stokes_noise(spec, steady.alpha_x):
+        assert record.uncertainty_product >= 1.0 - 1e-9
+        assert (kp.apply_detection_loss(record.v_s2_norm, eta)
+                * kp.apply_detection_loss(record.v_s3_norm, eta)
+                >= 1.0 - 1e-9)
+    lossy = kp.apply_detection_loss(spec.values, eta)
+    assert np.all(lossy[:, 0] * lossy[:, 1] >= 1.0 - 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=st.one_of(stable_points("y"), stable_points("x")),
+       eta=st.floats(0.05, 1.0))
+def test_loss_round_trip_on_arrays_and_scalars(point, eta):
+    _, _, model = point
+    values = kp.noise_spectrum(model, GRID_OMEGAS, GRID_THETAS).values
+    lossy = kp.apply_detection_loss(values, eta)
+    assert lossy.shape == values.shape
+    assert np.all(lossy >= 1.0 - eta - 1e-12)
+    assert np.max(np.abs(kp.recover_lossless(lossy, eta) - values)) <= 1e-12
+    for cell in ((0, 0), (-1, -1)):
+        scalar = kp.apply_detection_loss(float(values[cell]), eta)
+        assert isinstance(scalar, float) and scalar == lossy[cell]
+        assert abs(kp.recover_lossless(scalar, eta) - values[cell]) <= 1e-12

@@ -1,0 +1,123 @@
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import kerrpol as kp
+from kerrpol.tables import OutputTable
+
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
+# one type per column; None marks a missing cell in any of them
+CELLS = {
+    "str": st.text(),
+    "int": INTS,
+    "bool": st.booleans(),
+    "float": FLOATS,
+    "np.float64": FLOATS.map(np.float64),
+    "np.int64": INTS.map(np.int64),
+    "np.bool_": st.booleans().map(np.bool_),
+}
+
+
+def plain(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def csv_text(value) -> str:
+    value = plain(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
+                          max_size=5))
+    data = []
+    for kind in kinds:
+        cell = CELLS[kind]
+        if draw(st.booleans()):
+            cell = st.one_of(st.none(), cell)
+        column = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+        if kind != "str" and None not in column and draw(st.booleans()):
+            column = np.array(column)     # a typed array, as the CLI passes
+        data.append(column)
+    names = draw(st.lists(st.text(), min_size=len(kinds),
+                          max_size=len(kinds)))
+    units = draw(st.lists(st.text("1abs/-"), min_size=len(kinds),
+                          max_size=len(kinds)))
+    # metadata is written one value per comment line
+    meta = draw(st.dictionaries(
+        st.text("abc_", min_size=1, max_size=6),
+        st.one_of(st.none(), INTS, FLOATS, st.booleans(),
+                  FLOATS.map(np.float64), st.text("kerpol 0.1-", max_size=9)),
+        max_size=3))
+    return OutputTable(name="t", columns=names, units=units, meta=meta,
+                       data=data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables())
+def test_columnar_json_equals_json_dumps_of_the_rows(table):
+    payload = {"table": table.name,
+               "meta": {k: plain(v) for k, v in table.meta.items()},
+               "columns": table.columns, "units": table.units,
+               "rows": [[plain(v) for v in row] for row in table.rows]}
+    text = table.to_json_text()
+    assert text == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    assert text == OutputTable(table.name, table.columns, table.units,
+                               rows=table.rows,
+                               meta=table.meta).to_json_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables())
+def test_csv_round_trips_through_the_csv_module(table):
+    text = table.to_csv_text()
+    header = 2 + len(table.meta)          # table, meta and units lines
+    head = text.split("\n", header)
+    assert head[0] == "# table: t"
+    assert head[1:header - 1] == [f"# {k}: {csv_text(v)}"
+                                  for k, v in table.meta.items()]
+    parsed = list(csv.reader(io.StringIO(head[header], newline="")))
+    assert parsed[0] == table.columns
+    assert parsed[1:] == [[csv_text(v) for v in row] for row in table.rows]
+
+
+def test_rows_and_columns_render_the_same_table():
+    rows = [(1.5, 2, True, None, "a,b"), (-0.0, -3, False, "x", 'q"')]
+    meta = {"seed": np.int64(7), "s": np.float64(0.25)}
+    by_rows = OutputTable("t", list("abcde"), list("11111"), rows=rows,
+                          meta=meta)
+    by_columns = OutputTable("t", list("abcde"), list("11111"), meta=meta,
+                             data=[np.array([1.5, -0.0]), [2, -3],
+                                   np.array([True, False]), [None, "x"],
+                                   ["a,b", 'q"']])
+    for render in (OutputTable.to_csv_text, OutputTable.to_json_text):
+        assert render(by_rows) == render(by_columns)
+    assert by_columns.rows == [(1.5, 2, True, None, "a,b"),
+                               (-0.0, -3, False, "x", 'q"')]
+    assert by_rows.to_csv_text().splitlines()[-2:] == [
+        '1.5,2,true,,"a,b"', '-0.0,-3,false,x,"q"""']
+
+
+@pytest.mark.parametrize("data, error", [
+    ([[1.0, 2.0], [1.0]], kp.ValidationError),          # ragged
+    ([[1.0, "x"], [1.0, 2.0]], kp.ValidationError),     # mixed kinds
+    ([np.zeros((2, 2)), [1.0, 2.0]], kp.ValidationError),
+    ([[1j, 2j], [1.0, 2.0]], kp.ValidationError),
+    ([np.array([1.0, np.inf]), [1.0, 2.0]], kp.NumericalError),
+    ([float("nan"), [1.0, 2.0]], kp.NumericalError),   # a scalar NaN
+])
+def test_tables_reject_bad_columns(data, error):
+    with pytest.raises(error):
+        OutputTable("t", ["a", "b"], ["1", "1"], data=data)
