@@ -7,16 +7,22 @@ equivalence is the foundation of this module.  It integrates
 
     d a = (m11*a + m12*conj(a)) dt + sqrt(2*kappa) dxi
 
-by Euler-Maruyama, forms output quadrature samples
+by Euler-Maruyama and forms the two output quadratures
 
     b_k = sqrt(2*kappa)*a_k - xi_k/dt,
-    X_theta[k] = 2*Re(e^{-i*theta} b_k),
+    X_0[k] = 2*Re(b_k),   X_pi/2[k] = 2*Im(b_k),
 
-and estimates their power spectral density by a windowed, segment-averaged
-periodogram with error bars from the segment scatter.  The -xi_k/dt
-feed-through reuses the increment that drives step k; that is the consistent
-discretization of the white input appearing both in the cavity drive and in
-the output.
+from which every homodyne angle follows,
+X_theta = cos(theta)*X_0 + sin(theta)*X_pi/2 = 2*Re(e^{-i*theta} b_k).
+The -xi_k/dt feed-through reuses the increment that drives step k; that is
+the consistent discretization of the white input appearing both in the
+cavity drive and in the output.
+
+Spectra are windowed, segment-averaged periodograms with error bars from the
+segment scatter.  They come from the 2x2 cross-spectral periodogram of the
+pair: with A, B the segment FFTs of X_0, X_pi/2, the periodogram of X_theta
+is cos^2 |A|^2 + sin^2 |B|^2 + sin(2 theta) Re(A conj(B)), so one FFT per
+segment serves every angle and X_theta is never formed.
 
 The per-step recursion runs in ``_kernel``, a numpy block scan whose output
 does not depend on how the run is split into chunks of whole blocks.
@@ -28,9 +34,11 @@ while the kernel runs.  Output depends on neither the chunking nor the thread.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernel
 from .errors import UnstableModelError, ValidationError
@@ -38,6 +46,14 @@ from .spectra import FluctuationModel, NoiseSpectrum
 
 MAX_STEP_FRACTION = 0.1   # dt * |m11| above this is too coarse to trust
 DEFAULT_CHUNK = 1 << 19   # noise samples per kernel call, whole blocks
+# Welch transforms up to BATCH_SEGMENTS segments per FFT call, fewer when
+# they would exceed BATCH_SAMPLES samples, never fewer than one: few calls
+# per segment keep the helper thread's interpreter-lock handoffs with the
+# kernel loop rare, and the sample cap bounds the batch buffers
+BATCH_SEGMENTS = 8
+BATCH_SAMPLES = 1 << 16
+# index pairs into (a, b, r) of the second moments a^2, b^2, r^2, ab, ar, br
+_SECOND = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 def kernel_backend() -> str:
@@ -72,13 +88,24 @@ class TrajectoryConfig:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureSeries:
-    """Output quadrature records X_theta(t) after burn-in removal."""
+    """Output quadrature records after burn-in removal.
+
+    Only the pair (X_0, X_pi/2) is stored; ``samples`` forms
+    X_theta = cos(theta)*X_0 + sin(theta)*X_pi/2 for each of ``thetas``.
+    """
 
     dt: float
     thetas: tuple[float, ...]
-    samples: np.ndarray                 # shape (n_kept, n_theta)
+    quadratures: np.ndarray             # shape (n_kept, 2): X_0, X_pi/2
     field: np.ndarray | None            # intracavity trajectory, optional
     seed: int
+
+    @property
+    def samples(self) -> np.ndarray:
+        """X_theta(t), shape (n_kept, n_theta), computed on each access."""
+        thetas = np.asarray(self.thetas, dtype=float)
+        x = self.quadratures
+        return x[:, :1] * np.cos(thetas) + x[:, 1:] * np.sin(thetas)
 
 
 def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig,
@@ -107,17 +134,17 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
                chunk_size: int, store_field: bool, rows, sink) -> None:
     """Run the checked EM trajectory of ``cfg`` chunk by chunk, in order.
 
-    The kernel fills ``rows(k, done, m)`` with chunk k on this thread while
-    one helper thread draws chunk k+1's noise and runs ``sink(done, x,
-    field)`` on chunk k-1.  Chunk k-2's sink ends before chunk k's rows are
-    asked for, so two row buffers can alternate.
+    The kernel fills ``rows(k, done, m)``, an (m, 2) array, with chunk k's
+    quadratures (X_0, X_pi/2) on this thread while one helper thread draws
+    chunk k+1's noise and runs ``sink(done, x, field)`` on chunk k-1.
+    Chunk k-2's sink ends before chunk k's rows are asked for, so two row
+    buffers can alternate.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     n_total = cfg.n_steps
-    thetas = np.asarray(cfg.theta_list, dtype=float)
-    cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas)
+    # the basis angles 0 and pi/2: X_0 = 2 Re b, X_pi/2 = 2 Im b exactly
+    cos_t, sin_t = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     rng = np.random.default_rng(cfg.seed)
     sigma = 0.5 * math.sqrt(cfg.dt)  # per-component std of dxi
 
@@ -157,7 +184,7 @@ def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
     _check_trajectory(model, cfg, chunk_size)
     n_total = cfg.n_steps
     n_burn = int(cfg.burn_in * n_total)
-    x_out = np.empty((n_total, len(cfg.theta_list)))
+    x_out = np.empty((n_total, 2))
     field_out = np.empty(n_total if store_field else 0, dtype=np.complex128)
     _integrate(model, cfg, chunk_size, store_field,
                lambda k, done, m: x_out[done:done + m],
@@ -166,7 +193,7 @@ def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
     return QuadratureSeries(
         dt=cfg.dt,
         thetas=tuple(float(t) for t in cfg.theta_list),
-        samples=x_out[n_burn:],
+        quadratures=x_out[n_burn:],
         field=field_out[n_burn:] if store_field else None,
         seed=cfg.seed)
 
@@ -187,64 +214,134 @@ class PsdEstimate:
 
 
 class _Welch:
-    """Hann-windowed periodogram sums over consecutive row blocks.
+    """Hann-windowed cross-spectral periodogram sums of the quadrature pair.
 
-    Segments that straddle blocks are assembled from the kept tail, so the
-    segments and the order of the sums do not depend on the split.
+    Each segment of the two quadratures (X_0, X_pi/2) gives A, B, the FFTs
+    of its windowed columns.  The sums hold the first moments of a = |A|^2,
+    b = |B|^2, r = Re(A conj(B)) and their six second moments, from which
+    ``result`` forms every angle's periodogram c^2 a + s^2 b + 2cs r and its
+    segment scatter; the density normalization is applied there, once.
+    Segments that straddle row blocks are assembled from the kept tail.
+    They go through the FFT in fixed groups of ``batch``
+    consecutive segments, and the groups' moments are added in order, so
+    the sums do not depend on how the rows are split.
     """
 
-    def __init__(self, n: int, n_cols: int, dt: float, segment_length: int,
+    def __init__(self, n: int, thetas, dt: float, segment_length: int,
                  overlap: float) -> None:
-        if segment_length > n:
+        try:
+            length = operator.index(segment_length)
+        except TypeError:
+            length = 0
+        if length < 2:
+            raise ValidationError(f"segment_length must be an integer >= 2, "
+                                  f"got {segment_length!r}")
+        if length > n:
             raise ValidationError("segment_length exceeds series length")
         if not 0.0 <= overlap <= 0.9:
             raise ValidationError("overlap must lie in [0, 0.9]")
-        self.hop = max(1, int(round(segment_length * (1.0 - overlap))))
-        self.n_seg = len(range(0, n - segment_length + 1, self.hop))
+        self.hop = max(1, int(round(length * (1.0 - overlap))))
+        self.n_seg = len(range(0, n - length + 1, self.hop))
         if self.n_seg < 4:
             raise ValidationError(
                 f"need at least 4 segments for error bars, got {self.n_seg}")
-        self.length = segment_length
-        self.omega = 2.0 * math.pi * np.fft.rfftfreq(segment_length, d=dt)
-        self.window = np.hanning(segment_length + 1)[:-1]   # periodic Hann
+        self.length = length
+        self.thetas = np.asarray(thetas, dtype=float)
+        self.omega = 2.0 * math.pi * np.fft.rfftfreq(length, d=dt)
+        self.window = np.hanning(length + 1)[:-1]   # periodic Hann
         self.norm = dt / np.sum(self.window ** 2)
-        self.acc = np.zeros((segment_length // 2 + 1, n_cols))
-        self.acc2 = np.zeros_like(self.acc)
-        self.tail = np.empty((0, n_cols))   # rows from the next segment on
+        n_omega = length // 2 + 1
+        self.batch = max(1, min(BATCH_SEGMENTS, BATCH_SAMPLES // length))
+        self.segs = np.empty((self.batch, 2, length))   # windowed, pending
+        self.pending = 0
+        self.products = np.empty((self.batch, 2 * n_omega))
+        self.moments = np.empty((self.batch, 3, n_omega))   # a, b, r
+        self.group_sum = np.empty(n_omega)
+        self.sums = np.zeros((9, n_omega))
+        self.tail = np.empty((0, 2))    # rows from the next segment on
 
     def feed(self, rows: np.ndarray) -> None:
-        length, tail = self.length, self.tail
-        s = -len(tail)                      # next segment start in ``rows``
-        while s + length <= len(rows):
-            seg = (rows[s:s + length] if s >= 0 else
-                   np.concatenate((tail[s:], rows[:s + length])))
-            p = self.norm * np.abs(
-                np.fft.rfft(seg * self.window[:, None], axis=0)) ** 2
-            self.acc += p
-            self.acc2 += p * p
-            s += self.hop
-        self.tail = (np.concatenate((tail[s:], rows)) if s < 0 else
-                     rows[s:].copy())
+        """Add the segments that end in ``rows``, an (m, 2) quadrature block."""
+        length, hop, tail = self.length, self.hop, self.tail
+        n_head = 0                      # segments starting in the tail
+        if len(tail):
+            head = np.concatenate((tail, rows[:length - 1]))
+            n_head = len(range(0, min(len(tail), len(head) - length + 1), hop))
+            if n_head:
+                self._add(sliding_window_view(head, length, axis=0)[
+                    :n_head * hop:hop])
+        first = n_head * hop - len(tail)    # next start, in ``rows``
+        n_body = len(range(first, len(rows) - length + 1, hop))
+        if n_body:
+            self._add(sliding_window_view(rows, length, axis=0)[
+                first:first + n_body * hop:hop])
+        nxt = first + n_body * hop
+        self.tail = (np.concatenate((tail[nxt:], rows)) if nxt < 0 else
+                     rows[nxt:].copy())
+
+    def _add(self, windows: np.ndarray) -> None:
+        """Window the segments ``windows`` (k, 2, length) into the group."""
+        done = 0
+        while done < len(windows):
+            take = min(self.batch - self.pending, len(windows) - done)
+            np.multiply(windows[done:done + take], self.window,
+                        out=self.segs[self.pending:self.pending + take])
+            self.pending += take
+            done += take
+            if self.pending == self.batch:
+                self._flush()
+
+    def _flush(self) -> None:
+        """Add the moments of the pending group to the sums."""
+        k, self.pending = self.pending, 0
+        if k == 0:
+            return
+        x = np.fft.rfft(self.segs[:k]).view(np.float64)   # re, im pairs
+        mom, prod = self.moments[:k], self.products[:k]
+        np.multiply(x[:, 0], x[:, 1], out=prod)
+        np.add(prod[:, 0::2], prod[:, 1::2], out=mom[:, 2])     # r
+        np.square(x, out=x)
+        np.add(x[:, :, 0::2], x[:, :, 1::2], out=mom[:, :2])    # a, b
+        for m in mom:
+            self.sums[:3] += m
+        for j, (u, v) in enumerate(_SECOND, start=3):
+            self.sums[j] += np.einsum("kf,kf->f", mom[:, u], mom[:, v],
+                                      out=self.group_sum)
 
     def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        self._flush()
         n_seg = self.n_seg
-        mean = self.acc / n_seg
-        var = np.maximum(self.acc2 - n_seg * mean ** 2, 0.0) / (n_seg - 1)
+        c, s = np.cos(self.thetas), np.sin(self.thetas)
+        coef = (c * c, s * s, 2.0 * c * s)   # periodogram = coef . (a, b, r)
+        sums = self.sums[:, :, None]
+        mean = self.norm * np.maximum(
+            sum(coef[u] * sums[u] for u in range(3)), 0.0) / n_seg
+        # sum over segments of the periodogram squared
+        acc2 = self.norm ** 2 * sum(
+            (1.0 if u == v else 2.0) * coef[u] * coef[v] * sums[j]
+            for j, (u, v) in enumerate(_SECOND, start=3))
+        var = np.maximum(acc2 - n_seg * mean ** 2, 0.0) / (n_seg - 1)
         return self.omega, mean, np.sqrt(var / n_seg), n_seg
 
 
-def welch_psd(samples: np.ndarray, dt: float, segment_length: int,
+def welch_psd(quadratures: np.ndarray, thetas, dt: float, segment_length: int,
               overlap: float = 0.5) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Hann-windowed averaged periodogram on raw samples.
+    """Hann-windowed averaged periodogram of X_theta for each of ``thetas``.
 
-    Density convention: P(omega) = dt * |FFT(w*window)|^2 / sum(window^2),
-    so a flat process with per-sample variance v has PSD v*dt and the
-    shot-noise-discretized output (variance 1/dt) sits at 1.  Returns
-    (omega, mean, stderr, n_segments); the DC bin is included, frequencies
-    are rad/s.
+    ``quadratures`` holds the columns (X_0, X_pi/2); X_theta = cos(theta)*X_0
+    + sin(theta)*X_pi/2 is never formed, its periodogram comes from the 2x2
+    cross-spectral periodogram of the pair.  Density convention:
+    P(omega) = dt * |FFT(x*window)|^2 / sum(window^2), so a flat process with
+    per-sample variance v has PSD v*dt and the shot-noise-discretized output
+    (variance 1/dt) sits at 1.  Returns (omega, mean, stderr, n_segments),
+    mean and stderr of shape (n_omega, n_theta); the DC bin is included,
+    frequencies are rad/s.
     """
-    x = np.atleast_2d(samples.T).T       # (n, n_cols)
-    welch = _Welch(x.shape[0], x.shape[1], dt, segment_length, overlap)
+    x = np.asarray(quadratures, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ValidationError(
+            f"quadratures must have shape (n, 2), got {x.shape}")
+    welch = _Welch(x.shape[0], thetas, dt, segment_length, overlap)
     welch.feed(x)
     return welch.result()
 
@@ -252,8 +349,9 @@ def welch_psd(samples: np.ndarray, dt: float, segment_length: int,
 def psd_estimate(series: QuadratureSeries, segment_length: int,
                  overlap: float = 0.5) -> PsdEstimate:
     """Welch estimate of the output quadrature spectra of ``series``."""
-    return PsdEstimate(*welch_psd(series.samples, series.dt, segment_length,
-                                  overlap), thetas=series.thetas)
+    return PsdEstimate(*welch_psd(series.quadratures, series.thetas,
+                                  series.dt, segment_length, overlap),
+                       thetas=series.thetas)
 
 
 def oracle_psd(model: FluctuationModel, cfg: TrajectoryConfig,
@@ -267,9 +365,9 @@ def oracle_psd(model: FluctuationModel, cfg: TrajectoryConfig,
     _check_trajectory(model, cfg, chunk_size)
     n_total = cfg.n_steps
     n_burn = int(cfg.burn_in * n_total)
-    n_cols = len(cfg.theta_list)
-    welch = _Welch(n_total - n_burn, n_cols, cfg.dt, segment_length, overlap)
-    buffers = [np.empty((min(chunk_size, n_total), n_cols)) for _ in range(2)]
+    welch = _Welch(n_total - n_burn, cfg.theta_list, cfg.dt, segment_length,
+                   overlap)
+    buffers = [np.empty((min(chunk_size, n_total), 2)) for _ in range(2)]
     _integrate(model, cfg, chunk_size, False,
                lambda k, done, m: buffers[k % 2][:m],
                lambda done, x, field: welch.feed(x[max(0, n_burn - done):]))

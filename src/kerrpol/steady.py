@@ -158,9 +158,17 @@ def _real_roots(params: PhysicalParams, power: float,
     are stripped (a3 = a2 = 0 without atoms) and the companion matrices,
     built as ``np.roots`` builds them, go through one ``eigvals`` call per
     degree.  Each real root gets up to three Newton steps; coincident roots
-    are merged.
+    are merged.  A cubic that overflows, or a dephasing whose denominator
+    underflows, raises ``NumericalError``.
     """
-    a3, a2, a1, a0 = cubic_coefficients(params, power, delta_c)
+    try:
+        a3, a2, a1, a0 = cubic_coefficients(params, power, delta_c)
+    except OverflowError as exc:
+        raise NumericalError("steady-state cubic overflows: a squared "
+                             "coefficient exceeds the float range") from exc
+    except ZeroDivisionError as exc:
+        raise NumericalError("linear dephasing divides by zero: "
+                             "delta * transmission underflows") from exc
     p = np.empty((len(delta_c), 4))
     p[:, 0], p[:, 1], p[:, 2], p[:, 3] = a3, a2, a1, a0
     if not np.isfinite(p).all():
@@ -325,11 +333,11 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValidationError("detuning grid must be strictly monotone")
 
+    all_roots = _real_roots(params, drive.power, grid)
     d0 = linear_dephasing(params)
     records = []
     previous_intensity: float | None = None
-    for delta_c, roots in zip(grid.tolist(),
-                              _real_roots(params, drive.power, grid)):
+    for delta_c, roots in zip(grid.tolist(), all_roots):
         branches = _branches(params, delta_c, d0, roots)
         stable = [b for b in branches if b.mean_field_stable]
         candidates = stable if stable else list(branches)

@@ -4,6 +4,7 @@ Tests work in kappa = 1 units unless they exercise the MHz boundary; spectra
 are scale invariant, so nothing is lost and everything is fast.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -87,9 +88,9 @@ def squeezed_to_angle(target_theta, omega=0.6, s=0.15, delta0=-10.0):
 
     grid = [d for d in np.linspace(-4.0, 4.0, 1601)
             if chi ** 2 - d ** 2 < 0.95]
-    errs = [(d, at(d)[0]) for d in grid]
+    errs = ((d, at(d)[0]) for d in grid)   # lazy: stop at the first bracket
     bracket = None
-    for (d1, e1), (d2, e2) in zip(errs, errs[1:]):
+    for (d1, e1), (d2, e2) in itertools.pairwise(errs):
         if e1 * e2 <= 0.0 and abs(e1) < 0.5 and abs(e2) < 0.5:
             bracket = (d1, d2, e1)
             break

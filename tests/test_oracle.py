@@ -12,6 +12,7 @@ from kerrpol import _kernel
 from kerrpol.oracle import DEFAULT_CHUNK
 
 import em_reference
+import welch_reference
 from conftest import make_params, steady_at
 
 L = _kernel.BLOCK
@@ -167,6 +168,21 @@ def test_kernel_matches_reference_loop():
     assert_close_to(out, ref_x)
 
 
+def test_samples_equal_the_kernel_projection_bit_for_bit():
+    # simulate keeps only (X_0, X_pi/2); X_theta formed from them equals the
+    # kernel's own projection onto theta, since the factor 2 is exact
+    model, _ = squeezing_model()
+    thetas = (0.0, 0.4, 2.0, -1.1, math.pi / 2.0, 3.0)
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=(3 * L + 517) * 0.01, seed=5,
+                              theta_list=thetas)
+    series = kp.simulate(model, cfg)
+    assert series.quadratures.shape == (cfg.n_steps, 2)
+    x, _, _ = _kernel.integrate_em(
+        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg),
+        np.cos(thetas), np.sin(thetas), 0j, False)
+    assert np.array_equal(series.samples, x)
+
+
 def test_chunked_integration_is_seamless():
     model, _ = squeezing_model()
     cfg = kp.TrajectoryConfig(dt=0.01, duration=300.0, seed=3)
@@ -258,6 +274,97 @@ def test_oracle_psd_default_chunking_equals_the_two_call_path():
                               burn_in=0.013, theta_list=(0.2, 1.7))
     expected = kp.psd_estimate(kp.simulate(model, cfg), 3000, 0.3)
     assert_same_estimate(kp.oracle_psd(model, cfg, 3000, 0.3), expected)
+
+
+angle_lists = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=16)
+
+
+def drawn_run(n, burn_in, segment_length, overlap, thetas):
+    """Config of a drawn run on the squeezing model; rejects < 4 segments."""
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=n,
+                              burn_in=burn_in, theta_list=tuple(thetas))
+    n_kept = cfg.n_steps - int(burn_in * cfg.n_steps)
+    hop = max(1, int(round(segment_length * (1.0 - overlap))))
+    assume(n_kept - segment_length >= 3 * hop)
+    return squeezing_model()[0], cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4 * L, 12 * L), burn_in=st.floats(0.0, 0.5),
+       chunk_size=st.sampled_from([L, 3 * L, DEFAULT_CHUNK]),
+       segment_length=st.integers(2, 3 * L), overlap=st.floats(0.0, 0.9),
+       thetas=angle_lists)
+def test_oracle_psd_equals_the_two_call_path_for_any_angle_count(
+        n, burn_in, chunk_size, segment_length, overlap, thetas):
+    model, cfg = drawn_run(n, burn_in, segment_length, overlap, thetas)
+    expected = kp.psd_estimate(kp.simulate(model, cfg), segment_length,
+                               overlap)
+    actual = kp.oracle_psd(model, cfg, segment_length, overlap,
+                           chunk_size=chunk_size)
+    assert_same_estimate(actual, expected)
+    assert expected.psd.shape == (segment_length // 2 + 1, len(thetas))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4 * L, 12 * L),
+       chunk_size=st.sampled_from([L, 3 * L, DEFAULT_CHUNK]),
+       segment_length=st.integers(16, 3 * L), overlap=st.floats(0.0, 0.9),
+       thetas=angle_lists)
+def test_welch_matches_the_direct_per_angle_reference(
+        n, chunk_size, segment_length, overlap, thetas):
+    # one FFT of each angle's samples per segment, mean and scatter in two
+    # passes.  psd agrees elementwise.  An error bar whose segments nearly
+    # coincide is ill conditioned in any one-pass scatter, so stderr is
+    # scored on the scale of its angle's column.
+    model, cfg = drawn_run(n, 0.05, segment_length, overlap, thetas)
+    estimate = kp.oracle_psd(model, cfg, segment_length, overlap,
+                             chunk_size=chunk_size)
+    omega, psd, stderr, n_segments = welch_reference.welch_psd(
+        kp.simulate(model, cfg).samples, cfg.dt, segment_length, overlap)
+    assert np.array_equal(estimate.omega, omega)
+    assert estimate.n_segments == n_segments
+    assert np.all(np.abs(estimate.psd - psd) <= 1e-12 * psd)
+    assert np.all(np.abs(estimate.stderr - stderr)
+                  <= 1e-12 * stderr.max(axis=0))
+
+
+def test_welch_fft_calls_do_not_grow_with_the_angle_count(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.size(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    model, _ = squeezing_model()
+    counts, sizes = [], []
+    for thetas in ((0.3,), tuple(np.linspace(0.0, math.pi, 16))):
+        cfg = kp.TrajectoryConfig(dt=0.01, duration=8 * L * 0.01, seed=6,
+                                  theta_list=thetas)
+        del calls[:]
+        kp.oracle_psd(model, cfg, 512, chunk_size=L)
+        kp.psd_estimate(kp.simulate(model, cfg), 512)
+        counts.append(len(calls))
+        sizes.append(sum(calls))
+    assert 0 < counts[1] <= counts[0]
+    assert sizes[1] == sizes[0]          # samples transformed, not angles
+
+
+@pytest.mark.parametrize("segment_length", [0, 1, -5, 3.5, 64.0])
+def test_segment_length_must_be_an_integer_of_at_least_two(segment_length):
+    model, _ = squeezing_model()
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=4 * L * 0.01, seed=1)
+    series = kp.simulate(model, cfg)
+    calls = [
+        lambda: kp.welch_psd(series.quadratures, series.thetas, cfg.dt,
+                             segment_length),
+        lambda: kp.psd_estimate(series, segment_length),
+        lambda: kp.oracle_psd(model, cfg, segment_length),
+    ]
+    for call in calls:
+        with pytest.raises(kp.ValidationError, match="integer >= 2"):
+            call()
 
 
 def raised_by(call):
@@ -368,7 +475,7 @@ def test_oracle_psd_memory_is_flat_in_duration():
     whole = [traced_peak(lambda: kp.simulate(model, c, chunk_size=chunk))
              for c in (short, long)]
     assert stream[1] <= 1.2 * stream[0]
-    extra_samples = (long.n_steps - short.n_steps) * len(thetas) * 8
+    extra_samples = (long.n_steps - short.n_steps) * 2 * 8   # (X_0, X_pi/2)
     assert whole[1] - whole[0] >= 0.95 * extra_samples
 
 
@@ -401,6 +508,11 @@ def test_conjugate_reconstruction_matches_two_variable_integration():
 # ---------------------------------------------------------------------------
 # PSD estimation
 
+def pair(x):
+    """Quadrature pair (x, 0): at theta = 0 the series is exactly ``x``."""
+    return np.column_stack((x, np.zeros_like(x)))
+
+
 def test_psd_pure_sinusoid_peaks_at_its_frequency():
     dt = 1.0
     n = 8192
@@ -408,7 +520,7 @@ def test_psd_pure_sinusoid_peaks_at_its_frequency():
     t = np.arange(n) * dt
     x = np.sin(2.0 * math.pi * f0 * t)
     series = kp.QuadratureSeries(dt=dt, thetas=(0.0,),
-                                 samples=x[:, None], field=None, seed=0)
+                                 quadratures=pair(x), field=None, seed=0)
     est = kp.psd_estimate(series, 1024, overlap=0.5)
     peak = int(np.argmax(est.psd[:, 0]))
     assert est.omega[peak] == pytest.approx(2.0 * math.pi * f0, rel=1e-12)
@@ -419,7 +531,7 @@ def test_psd_unit_white_noise_is_flat_one():
     rng = np.random.default_rng(123)
     x = rng.standard_normal(400000)
     series = kp.QuadratureSeries(dt=1.0, thetas=(0.0,),
-                                 samples=x[:, None], field=None, seed=0)
+                                 quadratures=pair(x), field=None, seed=0)
     est = kp.psd_estimate(series, 1024, overlap=0.5)
     sel = slice(1, None)   # skip the DC bin (mean not removed)
     z = (est.psd[sel, 0] - 1.0) / est.stderr[sel, 0]
@@ -441,7 +553,7 @@ def test_psd_ornstein_uhlenbeck_matches_lorentzian():
         acc = rho * acc + q * w[k]
         x[k] = acc
     series = kp.QuadratureSeries(dt=dt, thetas=(0.0,),
-                                 samples=x[:, None], field=None, seed=0)
+                                 quadratures=pair(x), field=None, seed=0)
     est = kp.psd_estimate(series, 4096, overlap=0.5)
     sel = (est.omega > 0.05) & (est.omega < 10.0)
     lorentz = sigma ** 2 / (g ** 2 + est.omega[sel] ** 2)
@@ -451,7 +563,8 @@ def test_psd_ornstein_uhlenbeck_matches_lorentzian():
 
 def test_psd_input_validation():
     series = kp.QuadratureSeries(dt=1.0, thetas=(0.0,),
-                                 samples=np.zeros((100, 1)), field=None, seed=0)
+                                 quadratures=np.zeros((100, 2)), field=None,
+                                 seed=0)
     with pytest.raises(kp.ValidationError):
         kp.psd_estimate(series, 200)          # segment longer than series
     with pytest.raises(kp.ValidationError):

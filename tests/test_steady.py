@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -427,6 +428,27 @@ def test_scan_rejects_non_monotone_grid():
     with pytest.raises(kp.ValidationError):
         kp.cavity_scan(p, kp.DriveField.from_power(1.0),
                        np.array([0.0, 1.0, 0.5]))
+
+
+OVERFLOWS = "cubic overflows"
+UNDERFLOWS = "delta \\* transmission underflows"
+
+
+@pytest.mark.parametrize("changes, power, grid, match", [
+    ({"n_atoms": 1e300}, 1.0, [0.0, 1.0], OVERFLOWS),
+    ({}, 1e300, [1e200, 2e200], OVERFLOWS),            # drive at 1e200
+    ({}, 1.0, [0.0, 1e160], OVERFLOWS),                # one scan point
+    ({"delta": 1e-150, "transmission": 1e-180}, 1.0, [0.0, 1.0], UNDERFLOWS),
+], ids=["n_atoms", "drive", "scan_point", "dephasing_underflow"])
+def test_unformable_cubic_raises_numerical_error(changes, power, grid, match):
+    # Python float arithmetic raises OverflowError / ZeroDivisionError here;
+    # library callers get the package's own error from both entry points
+    p = replace(make_params(delta0=-8.0), **changes)
+    drive = kp.DriveField.from_power(power)
+    with pytest.raises(kp.NumericalError, match=match):
+        kp.cavity_scan(p, drive, np.array(grid))
+    with pytest.raises(kp.NumericalError, match=match):
+        kp.steady_states(p, drive, grid[-1])
 
 
 # ---------------------------------------------------------------------------
