@@ -8,6 +8,8 @@ blocks; carry the start states in order, s_{b+1} = F^BLOCK s_b + (end of
 block b from zero); add F^i s_b at in-block step i.  Blocks start at the
 call's first step and all arithmetic is elementwise (no BLAS), so results do
 not depend on thread count and whole-block calls chain bit-identically.
+The output is the quadrature pair X_0 = 2 Re b, X_pi/2 = 2 Im b, with
+b = sqrt(2 kappa)*a - xi/dt; callers form every homodyne angle from it.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ BLOCK = 1024
 TILE = 64       # blocks per step of the noise transpose
 
 
-def integrate_em(m11, m12, kappa, dt, noise, cos_theta, sin_theta,
-                 a0, store_field, out=None):
+def integrate_em(m11, m12, kappa, dt, noise, a0, store_field, out=None):
     """One Euler-Maruyama sweep over ``noise``; returns (X, field, a_final).
 
-    X[k, j] = 2*Re(e^{-i theta_j} b_k), b_k = sqrt(2 kappa)*a_k - noise_k/dt,
-    is written into ``out`` when given, field is the trajectory a_k (empty
-    unless ``store_field``), and a_final seeds the next call.
+    X[k] = 2*(Re b_k, Im b_k), b_k = sqrt(2 kappa)*a_k - noise_k/dt, shape
+    (n, 2), is written into ``out`` when given, field is the trajectory a_k
+    (empty unless ``store_field``), and a_final seeds the next call.
     """
     noise = np.ascontiguousarray(noise, dtype=np.complex128)
     n = noise.shape[0]
@@ -70,21 +71,14 @@ def integrate_em(m11, m12, kappa, dt, noise, cos_theta, sin_theta,
         x, y = g00 * x + g01 * y + end_x, g10 * x + g11 * y + end_y
     a_final = complex(x, y)
 
-    starts_x, starts_y = np.array(starts).T[:, :, None]
-    traj = np.empty((2, n_blocks, BLOCK))
-    for comp in range(2):
-        traj[comp] = z[:BLOCK, comp, :n_blocks].T
-        traj[comp] += starts_x * powers[:BLOCK, comp, 0]
-        traj[comp] += starts_y * powers[:BLOCK, comp, 1]
-    traj = traj.reshape(2, -1)[:, :n]
-    b = sq * traj - pairs.T * (1.0 / dt)
-    if out is None:
-        out = np.empty((n, len(cos_theta)))
-    # scaling by 2 is exact, so this is 2*(b_re*cos + b_im*sin)
-    cos2, sin2 = 2.0 * np.asarray(cos_theta), 2.0 * np.asarray(sin_theta)
-    for r in range(0, n, 4 * BLOCK):             # slabs keep writes in cache
-        slab = np.multiply.outer(cos2, b[0, r:r + 4 * BLOCK])
-        slab += np.multiply.outer(sin2, b[1, r:r + 4 * BLOCK])
-        out[r:r + 4 * BLOCK] = slab.T
-    field = traj[0] + 1j * traj[1] if store_field else np.empty(0, complex)
+    # traj[b, i] = (Re a, Im a) at step b*BLOCK + i: z + F^i s_b
+    starts_x, starts_y = np.array(starts).T[:, :, None, None]
+    traj = z[:BLOCK, :, :n_blocks].transpose(2, 0, 1).copy()
+    traj += starts_x * powers[:BLOCK, :, 0]
+    traj += starts_y * powers[:BLOCK, :, 1]
+    traj = traj.reshape(-1, 2)[:n]
+    out = np.multiply(traj, sq, out=out)           # allocates when None
+    out -= pairs * (1.0 / dt)
+    out *= 2.0                                     # exact
+    field = traj.view(complex)[:, 0] if store_field else np.empty(0, complex)
     return out, field, a_final

@@ -2,8 +2,8 @@
 
 Configuration is a flat ``key = value`` text file (``#`` comments).  MHz
 values are converted to rad/s exactly once, at this boundary.  Exit codes:
-0 success, 1 validation error, 2 numerical failure (instability or
-singularity), 3 oracle mismatch.
+0 success, 1 validation error or an unreadable config or unwritable output,
+2 numerical failure (instability or singularity), 3 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -115,12 +115,13 @@ def _line(cfg: RunConfig, key: str) -> str:
         else f"{key} = {value}"
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and fully validate a flat key=value configuration.
 
     Unknown keys, duplicates, syntax problems and violated physical
     invariants are reported with the offending key and line number; keys
-    absent from the file keep their defaults.
+    absent from the file keep their defaults.  ``overrides`` (command-line
+    values) replace the file's and go through the same validation.
     """
     values: dict = {}
     lines: dict = {}
@@ -145,7 +146,9 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ValidationError(
                 f"config line {lineno}: bad value for {key!r}: {exc}") from None
-        lines[key] = lineno
+        lines[key] = f"line {lineno}"
+    for key, value in (overrides or {}).items():
+        values[key], lines[key] = value, "override"
     cfg = replace(RunConfig(), **values)
     _validate_config(cfg, lines)
     return cfg
@@ -178,13 +181,10 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(physics.encode()).hexdigest()[:16]
 
 
-def _where(lines: dict, key: str) -> str:
-    return f"line {lines[key]}" if key in lines else "default"
-
-
 def _validate_config(cfg: RunConfig, lines: dict) -> None:
     def fail(key: str, message: str):
-        raise ValidationError(f"config {_where(lines, key)}: {key}: {message}")
+        where = lines.get(key, "default")
+        raise ValidationError(f"config {where}: {key}: {message}")
 
     if cfg.kappa_mhz <= 0:
         fail("kappa_mhz", "must be > 0")
@@ -220,6 +220,8 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
         fail("theta_stop_deg", "must exceed theta_start_deg")
     if cfg.oracle_dt <= 0:
         fail("oracle_dt", "must be > 0")
+    if cfg.oracle_seed < 0:
+        fail("oracle_seed", "must be >= 0")
     if cfg.oracle_duration < 1000.0 * cfg.oracle_dt:
         fail("oracle_duration", "must be at least 1000 * oracle_dt")
     if not 0 <= cfg.oracle_burn_in <= 0.5:
@@ -230,6 +232,8 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
         fail("oracle_overlap", "must lie in [0, 0.9]")
     if cfg.oracle_perturb_sx <= -1:
         fail("oracle_perturb_sx", "must exceed -1")
+    if not cfg.out_dir:
+        fail("out_dir", "must not be empty")
     if cfg.format not in ("csv", "json"):
         fail("format", "must be 'csv' or 'json'")
     # every command solves the steady-state cubic: a3 and a0 are alike at
@@ -477,11 +481,10 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y",
 
 
 def _load_config(args) -> RunConfig:
-    if args.config is None:
-        cfg = RunConfig()
-    else:
+    text = ""
+    if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+            text = fh.read()
     overrides = {}
     if args.out is not None:
         overrides["out_dir"] = args.out
@@ -489,7 +492,7 @@ def _load_config(args) -> RunConfig:
         overrides["format"] = args.format
     if getattr(args, "seed", None) is not None:
         overrides["oracle_seed"] = args.seed
-    return replace(cfg, **overrides) if overrides else cfg
+    return parse_config(text, overrides)
 
 
 def main(argv=None) -> int:
@@ -524,14 +527,9 @@ def main(argv=None) -> int:
     add_common(p_tmpl)
 
     args = parser.parse_args(argv)
-    try:
-        cfg = _load_config(args)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
     warn = functools.partial(print, file=sys.stderr)
     try:
+        cfg = _load_config(args)
         if args.command == "template":
             sys.stdout.write(config_template(cfg))
             return 0
@@ -560,7 +558,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 3
             return 0
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:   # OSError: config or output
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

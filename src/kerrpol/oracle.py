@@ -24,11 +24,12 @@ pair: with A, B the segment FFTs of X_0, X_pi/2, the periodogram of X_theta
 is cos^2 |A|^2 + sin^2 |B|^2 + sin(2 theta) Re(A conj(B)), so one FFT per
 segment serves every angle and X_theta is never formed.
 
-The per-step recursion runs in ``_kernel``, a numpy block scan whose output
-does not depend on how the run is split into chunks of whole blocks.
-``oracle_psd`` streams each chunk into the Welch sums, so its memory is
-O(chunk), not O(steps); one helper thread draws the noise and runs Welch
-while the kernel runs.  Output depends on neither the chunking nor the thread.
+The per-step recursion runs in ``_kernel``, a numpy block scan that returns
+the pair as one (n, 2) array; its output does not depend on how the run is
+split into chunks of whole blocks.  ``oracle_psd`` streams each chunk into
+the Welch sums, so its memory is O(chunk), not O(steps); one helper thread
+draws the noise and runs Welch while the kernel runs.  Output depends on
+neither the chunking nor the thread.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class TrajectoryConfig:
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ValidationError(f"dt must be > 0, got {self.dt}")
+        if not self.seed >= 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.duration >= 1000.0 * self.dt:
             raise ValidationError("duration must be at least 1000*dt")
         if not 0.0 <= self.burn_in <= 0.5:
@@ -143,8 +146,6 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
     from concurrent.futures import ThreadPoolExecutor
 
     n_total = cfg.n_steps
-    # the basis angles 0 and pi/2: X_0 = 2 Re b, X_pi/2 = 2 Im b exactly
-    cos_t, sin_t = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     rng = np.random.default_rng(cfg.seed)
     sigma = 0.5 * math.sqrt(cfg.dt)  # per-component std of dxi
 
@@ -166,8 +167,7 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
                 sunk[k - 2].result()
             x, field, a = _kernel.integrate_em(
                 complex(model.m11), complex(model.m12), float(model.kappa),
-                float(cfg.dt), chunk_noise, cos_t, sin_t, a, store_field,
-                rows(k, done, m))
+                float(cfg.dt), chunk_noise, a, store_field, rows(k, done, m))
             sunk.append(pool.submit(sink, done, x, field))
         for future in sunk[-2:]:
             future.result()

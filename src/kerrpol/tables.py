@@ -83,18 +83,12 @@ def finite_json(payload) -> str:
 
 class OutputTable:
     """Rectangular table with per-column units and metadata; the cells come
-    as ``data``, one sequence per column, or as ``rows``, transposed once."""
+    as ``data``, one sequence per column."""
 
     def __init__(self, name: str, columns: list[str], units: list[str],
-                 rows=(), meta: dict | None = None, *, data=None) -> None:
+                 data, meta: dict | None = None) -> None:
         if len(columns) != len(units):
             raise ValidationError("every column needs a declared unit")
-        if data is None:
-            for i, row in enumerate(rows):
-                if len(row) != len(columns):
-                    raise ValidationError(f"row {i} has {len(row)} fields, "
-                                          f"expected {len(columns)}")
-            data = list(zip(*rows)) or [()] * len(columns)
         self.name, self.columns, self.units = name, list(columns), list(units)
         self.data, self.meta = list(data), dict(meta or {})
         self._columns = [_column(c, v) for c, v in zip(columns, self.data)]

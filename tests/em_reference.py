@@ -2,7 +2,8 @@
 
 One step at a time, in the textbook operation order; the kernel must match it
 to rounding noise.  Same contract as ``kerrpol._kernel.integrate_em``
-without the ``out`` argument: returns (X, field, a_final).
+without the ``out`` argument: returns (X, field, a_final), X the output
+quadrature pair (X_0, X_pi/2) of shape (n, 2).
 """
 
 import math
@@ -10,8 +11,7 @@ import math
 import numpy as np
 
 
-def integrate_em(m11, m12, kappa, dt, noise, cos_theta, sin_theta,
-                 a0, store_field):
+def integrate_em(m11, m12, kappa, dt, noise, a0, store_field):
     n = noise.shape[0]
     trajectory = np.empty(n, dtype=np.complex128)
     a = complex(a0)
@@ -23,6 +23,6 @@ def integrate_em(m11, m12, kappa, dt, noise, cos_theta, sin_theta,
         xi = complex(noise[k])
         a = a + (dtm11 * a + dtm12 * a.conjugate()) + sq * xi
     b = sq * trajectory - noise * (1.0 / dt)
-    x = 2.0 * (np.outer(b.real, cos_theta) + np.outer(b.imag, sin_theta))
+    x = 2.0 * np.column_stack((b.real, b.imag))
     field = trajectory if store_field else np.empty(0, dtype=np.complex128)
     return x, field, a

@@ -386,6 +386,41 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+@pytest.mark.parametrize("config_lines, flags, where", [
+    (["oracle_seed = -5"], [], "line "), ([], ["--seed", "-1"], "override")],
+    ids=["config", "flag"])
+def test_negative_seed_exits_1_without_report(tmp_path, capsys, command,
+                                              config_lines, flags, where):
+    path = write_config(tmp_path, *FAST_ORACLE, *config_lines)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out),
+                     *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {where}")
+    assert "oracle_seed: must be >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["scan"], ["spectrum"], ["stokes"]])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    code = cli.main([*command, "--config", FIXTURE, "--out", str(taken)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_empty_out_dir_rejected_with_line_number(tmp_path, capsys):
+    path = write_config(tmp_path, "out_dir =")
+    lineno = (tmp_path / "run.cfg").read_text().splitlines().index(
+        "out_dir =") + 1
+    assert cli.main(["validate", "--config", path]) == 1
+    assert (f"config line {lineno}: out_dir: must not be empty"
+            in capsys.readouterr().err)
+
+
 def test_json_format_mirrors_schema(tmp_path):
     path = write_config(tmp_path, "format = json")
     assert cli.main(["scan", "--config", path, "--out", str(tmp_path)]) == 0
@@ -422,7 +457,7 @@ def test_commands_byte_identical_across_runs(tmp_path, command):
 def test_tables_refuse_non_finite_values(bad):
     def table(cell, meta):
         return OutputTable(name="t", columns=["a", "b"], units=["1", "1"],
-                           rows=[(1.0, "x"), (cell, None)],
+                           data=[[1.0, cell], ["x", None]],
                            meta={"seed": 1, "m": meta})
 
     for render in (OutputTable.to_csv_text, OutputTable.to_json_text):

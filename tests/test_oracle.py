@@ -45,6 +45,8 @@ def test_config_validation():
         kp.TrajectoryConfig(dt=0.01, duration=100.0, seed=1, burn_in=0.7)
     with pytest.raises(kp.ValidationError):
         kp.TrajectoryConfig(dt=0.01, duration=100.0, seed=1, theta_list=())
+    with pytest.raises(kp.ValidationError, match="seed"):
+        kp.TrajectoryConfig(dt=0.01, duration=100.0, seed=-1)
 
 
 def test_simulate_rejects_coarse_step_and_instability():
@@ -136,51 +138,57 @@ def test_simulate_matches_reference_loop():
                               theta_list=(0.3,))
     series = kp.simulate(model, cfg, store_field=True)
     x, field, _ = em_reference.integrate_em(
-        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg),
-        np.cos([0.3]), np.sin([0.3]), 0j, True)
-    assert_close_to(series.samples, x)
+        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg), 0j,
+        True)
+    assert_close_to(series.quadratures, x)
+    assert_close_to(series.samples, x[:, :1] * math.cos(0.3)
+                    + x[:, 1:] * math.sin(0.3))
     assert_close_to(series.field, field)
 
 
 def test_kernel_matches_reference_loop():
-    # the last block is partial, the start state is off zero, and several
-    # phases are projected
+    # the last block is partial and the start state is off zero; every way
+    # of calling the kernel gives the same pair, bit for bit
     m11, m12, kappa, dt = -1.0 - 1.31j, 0.58j, 1.0, 0.005
     n = 3 * L + 517
     rng = np.random.default_rng(21)
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
         0.5 * math.sqrt(dt))
-    thetas = np.array([0.0, 0.4, 2.0, -1.1])
-    args = (m11, m12, kappa, dt, noise, np.cos(thetas), np.sin(thetas),
-            0.3 - 0.7j)
+    args = (m11, m12, kappa, dt, noise, 0.3 - 0.7j)
     ref_x, ref_field, ref_a = em_reference.integrate_em(*args, True)
+    assert ref_x.shape == (n, 2)
+    x, field, a = _kernel.integrate_em(*args, True)
+    assert_close_to(x, ref_x)
+    assert_close_to(field, ref_field)
+    assert abs(a - ref_a) <= 1e-12 * abs(ref_a)
     for store_field in (True, False):
-        x, field, a = _kernel.integrate_em(*args, store_field)
-        assert_close_to(x, ref_x)
-        assert abs(a - ref_a) <= 1e-12 * abs(ref_a)
-        if store_field:
-            assert_close_to(field, ref_field)
-        else:
-            assert field.size == 0
-    out = np.empty_like(ref_x)
-    x, _, _ = _kernel.integrate_em(*args, False, out)
-    assert x is out
-    assert_close_to(out, ref_x)
+        for out in (None, np.full((n, 2), np.nan)):
+            got_x, got_field, got_a = _kernel.integrate_em(*args, store_field,
+                                                           out)
+            assert np.array_equal(got_x, x)
+            if out is not None:
+                assert got_x is out
+            assert got_a == a
+            if store_field:
+                assert np.array_equal(got_field, field)
+            else:
+                assert got_field.size == 0
 
 
 def test_samples_equal_the_kernel_projection_bit_for_bit():
-    # simulate keeps only (X_0, X_pi/2); X_theta formed from them equals the
-    # kernel's own projection onto theta, since the factor 2 is exact
+    # simulate keeps the kernel's pair (X_0, X_pi/2) as it is, and X_theta
+    # is projected from that pair
     model, _ = squeezing_model()
     thetas = (0.0, 0.4, 2.0, -1.1, math.pi / 2.0, 3.0)
     cfg = kp.TrajectoryConfig(dt=0.01, duration=(3 * L + 517) * 0.01, seed=5,
                               theta_list=thetas)
     series = kp.simulate(model, cfg)
-    assert series.quadratures.shape == (cfg.n_steps, 2)
     x, _, _ = _kernel.integrate_em(
-        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg),
-        np.cos(thetas), np.sin(thetas), 0j, False)
-    assert np.array_equal(series.samples, x)
+        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg), 0j,
+        False)
+    assert np.array_equal(series.quadratures, x)
+    assert np.array_equal(series.samples, x[:, :1] * np.cos(thetas)
+                          + x[:, 1:] * np.sin(thetas))
 
 
 def test_chunked_integration_is_seamless():
@@ -487,11 +495,9 @@ def test_conjugate_reconstruction_matches_two_variable_integration():
     dt = 0.01
     rng = np.random.default_rng(5)
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (0.5 * math.sqrt(dt))
-    cos_t = np.array([1.0])
-    sin_t = np.array([0.0])
     _, field, _ = _kernel.integrate_em(
-        complex(model.m11), complex(model.m12), model.kappa, dt, noise,
-        cos_t, sin_t, 0j, True)
+        complex(model.m11), complex(model.m12), model.kappa, dt, noise, 0j,
+        True)
 
     m = model.drift_matrix
     sq = math.sqrt(2.0 * model.kappa)
