@@ -26,7 +26,7 @@ from .spectra import (build_drift_x, build_drift_y, fold_angle,
                       min_max_spectrum, model_validity, noise_spectrum)
 from .steady import cavity_scan, cubic_coefficients, steady_states
 from .stokes import apply_detection_loss, phase_scan_dataset, stokes_noise
-from .tables import OutputTable, finite_json, write_text
+from .tables import OutputTable, finite_json, write_files
 
 
 @dataclass(frozen=True)
@@ -535,23 +535,17 @@ def main(argv=None) -> int:
             return 0
         if args.command == "validate":
             return cmd_validate(cfg)
-        if args.command == "scan":
-            path = cmd_scan(cfg).write(cfg.out_dir, cfg.format)
-            print(path)
-            return 0
-        if args.command == "spectrum":
-            table = cmd_spectrum(cfg, args.mode, log=warn)
-            print(table.write(cfg.out_dir, cfg.format))
-            return 0
-        if args.command == "stokes":
-            scan_table, summary_table = cmd_stokes(cfg, log=warn)
-            print(scan_table.write(cfg.out_dir, cfg.format))
-            print(summary_table.write(cfg.out_dir, cfg.format))
+        tables = {"scan": lambda: (cmd_scan(cfg),),
+                  "spectrum": lambda: (cmd_spectrum(cfg, args.mode, log=warn),),
+                  "stokes": lambda: cmd_stokes(cfg, log=warn)}.get(args.command)
+        if tables:
+            first, *more = tables()
+            print(*first.write(cfg.out_dir, cfg.format, *more), sep="\n")
             return 0
         if args.command == "oracle":
             report = cmd_oracle(cfg, args.mode, log=warn)
-            print(write_text(cfg.out_dir, "oracle_report.json",
-                             finite_json(report)))
+            print(*write_files(cfg.out_dir, [("oracle_report.json",
+                                              finite_json(report))]))
             if not report["comparison"]["passed"]:
                 print(f"oracle mismatch: max |z| = "
                       f"{report['comparison']['max_abs_z']:.2f}",

@@ -24,12 +24,12 @@ pair: with A, B the segment FFTs of X_0, X_pi/2, the periodogram of X_theta
 is cos^2 |A|^2 + sin^2 |B|^2 + sin(2 theta) Re(A conj(B)), so one FFT per
 segment serves every angle and X_theta is never formed.
 
-The per-step recursion runs in ``_kernel``, a numpy block scan that returns
-the pair as one (n, 2) array; its output does not depend on how the run is
-split into chunks of whole blocks.  ``oracle_psd`` streams each chunk into
-the Welch sums, so its memory is O(chunk), not O(steps); one helper thread
-draws the noise and runs Welch while the kernel runs.  Output depends on
-neither the chunking nor the thread.
+The per-step recursion runs in ``_kernel``, a numpy block scan in tiles
+with O(tile) scratch that returns the pair as one (n, 2) array; its output
+does not depend on how the run is split into chunks of whole blocks.
+``oracle_psd`` streams each chunk into the Welch sums, so its memory is
+O(chunk), not O(steps); one helper thread draws the noise and runs Welch
+while the kernel runs.  Output depends on neither chunking nor thread.
 """
 
 from __future__ import annotations
@@ -151,7 +151,8 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
 
     def draw(m):
         # (re, im) pairs keep the noise stream independent of chunking
-        return (rng.standard_normal(2 * m) * sigma).view(np.complex128)
+        normals = rng.standard_normal(2 * m)
+        return np.multiply(normals, sigma, out=normals).view(np.complex128)
 
     spans = [(done, min(chunk_size, n_total - done))
              for done in range(0, n_total, chunk_size)]

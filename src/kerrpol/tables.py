@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from itertools import repeat
 
 import numpy as np
@@ -138,18 +139,32 @@ class OutputTable:
         blocks[-1] += "\n  ]\n}\n"
         return ",\n".join(blocks)
 
-    def write(self, directory, fmt: str) -> str:
-        """Write under ``directory`` as <name>.<fmt>; returns the path."""
+    def write(self, directory, fmt: str, *more: OutputTable) -> list[str]:
+        """Write this table and ``more`` under ``directory`` as <name>.<fmt>,
+        all rendered first, then written all or none; returns the paths."""
         if fmt not in ("csv", "json"):
             raise ValidationError(f"unknown output format {fmt!r}")
-        text = self.to_csv_text() if fmt == "csv" else self.to_json_text()
-        return write_text(directory, f"{self.name}.{fmt}", text)
+        files = [(f"{t.name}.{fmt}", t.to_csv_text() if fmt == "csv"
+                  else t.to_json_text()) for t in (self, *more)]
+        return write_files(directory, files)
 
 
-def write_text(directory, name: str, text: str) -> str:
-    """Write ``text`` to ``directory``/``name`` with LF endings; the path."""
+def write_files(directory, files) -> list[str]:
+    """Write each (name, text) of ``files`` under ``directory``, LF endings,
+    all or none: the texts go to temporary names, renamed into place only
+    once all were written.  Returns the paths."""
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return path
+    paths = [os.path.join(directory, name) for name, _ in files]
+    temps = [f"{p}.{os.getpid()}-{threading.get_ident()}.tmp" for p in paths]
+    try:
+        for temp, (_, text) in zip(temps, files):
+            with open(temp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for path in filter(os.path.isdir, paths):    # would stop a rename
+            raise IsADirectoryError(f"cannot replace directory {path!r}")
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in filter(os.path.exists, temps):
+            os.remove(temp)
+    return paths

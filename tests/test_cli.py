@@ -11,7 +11,7 @@ import numpy as np
 
 import kerrpol as kp
 from kerrpol import cli
-from kerrpol.tables import OutputTable
+from kerrpol.tables import OutputTable, write_files
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                        "default.cfg")
@@ -410,6 +410,34 @@ def test_unwritable_output_exits_1(tmp_path, capsys, command):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert taken.read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("command, blocked", [
+    (["scan"], "scan.csv"),
+    (["stokes"], "stokes_summary.csv"),
+    (["oracle"], "oracle_report.json")])
+def test_failed_output_leaves_no_new_file(tmp_path, capsys, command,
+                                          blocked):
+    # the last file a command writes is blocked by a directory of its name:
+    # the command exits 1 and leaves out_dir as it found it
+    path = write_config(tmp_path, *FAST_ORACLE)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert cli.main([*command, "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == [blocked]
+    assert list((out / blocked).iterdir()) == []
+
+
+def test_write_files_failing_mid_write_leaves_nothing(tmp_path):
+    # a text that cannot be encoded fails inside the second file's write
+    files = [("a.csv", "1,2\n"), ("b.csv", "3,4\n" * 5000 + "\ud800")]
+    with pytest.raises(UnicodeEncodeError):
+        write_files(str(tmp_path), files)
+    assert list(tmp_path.iterdir()) == []
+    assert write_files(str(tmp_path), files[:1]) == [str(tmp_path / "a.csv")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+    assert (tmp_path / "a.csv").read_text() == "1,2\n"
 
 
 def test_empty_out_dir_rejected_with_line_number(tmp_path, capsys):

@@ -16,6 +16,7 @@ import welch_reference
 from conftest import make_params, steady_at
 
 L = _kernel.BLOCK
+N = 1024      # base run length in steps, independent of the kernel's block
 
 
 def empty_resonant_model():
@@ -129,7 +130,8 @@ def reference_noise(cfg):
 
 def assert_close_to(actual, reference, rtol=1e-12):
     assert actual.shape == reference.shape
-    assert np.max(np.abs(actual - reference)) <= rtol * np.max(np.abs(reference))
+    assert (np.max(np.abs(actual - reference), initial=0.0)
+            <= rtol * np.max(np.abs(reference), initial=0.0))
 
 
 def test_simulate_matches_reference_loop():
@@ -147,32 +149,51 @@ def test_simulate_matches_reference_loop():
 
 
 def test_kernel_matches_reference_loop():
-    # the last block is partial and the start state is off zero; every way
-    # of calling the kernel gives the same pair, bit for bit
+    # the last block is partial and the start state is off zero, in a run
+    # within one tile, an empty run and a run across a tile boundary; every
+    # way of calling the kernel gives the same pair, bit for bit
     m11, m12, kappa, dt = -1.0 - 1.31j, 0.58j, 1.0, 0.005
-    n = 3 * L + 517
-    rng = np.random.default_rng(21)
-    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
-        0.5 * math.sqrt(dt))
-    args = (m11, m12, kappa, dt, noise, 0.3 - 0.7j)
-    ref_x, ref_field, ref_a = em_reference.integrate_em(*args, True)
-    assert ref_x.shape == (n, 2)
-    x, field, a = _kernel.integrate_em(*args, True)
-    assert_close_to(x, ref_x)
-    assert_close_to(field, ref_field)
-    assert abs(a - ref_a) <= 1e-12 * abs(ref_a)
-    for store_field in (True, False):
-        for out in (None, np.full((n, 2), np.nan)):
-            got_x, got_field, got_a = _kernel.integrate_em(*args, store_field,
-                                                           out)
-            assert np.array_equal(got_x, x)
-            if out is not None:
-                assert got_x is out
-            assert got_a == a
-            if store_field:
-                assert np.array_equal(got_field, field)
-            else:
-                assert got_field.size == 0
+    for n in (3 * N + 517, 0, _kernel.TILE + 3 * L + 17):
+        rng = np.random.default_rng(21)
+        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
+            0.5 * math.sqrt(dt))
+        args = (m11, m12, kappa, dt, noise, 0.3 - 0.7j)
+        ref_x, ref_field, ref_a = em_reference.integrate_em(*args, True)
+        assert ref_x.shape == (n, 2)
+        x, field, a = _kernel.integrate_em(*args, True)
+        assert_close_to(x, ref_x)
+        assert_close_to(field, ref_field)
+        assert abs(a - ref_a) <= 1e-12 * abs(ref_a)
+        for store_field in (True, False):
+            for out in (None, np.full((n, 2), np.nan)):
+                got_x, got_field, got_a = _kernel.integrate_em(
+                    *args, store_field, out)
+                assert np.array_equal(got_x, x)
+                if out is not None:
+                    assert got_x is out
+                assert got_a == a
+                if store_field:
+                    assert np.array_equal(got_field, field)
+                else:
+                    assert got_field.size == 0
+
+
+def test_kernel_scratch_memory_is_set_by_the_tile():
+    # numpy reports its buffers to tracemalloc: beyond the arrays it
+    # returns, one call over several tiles holds a few tile-sized buffers
+    n = 4 * _kernel.TILE + 3 * L + 17
+    noise = np.full(n, 0.01 - 0.02j)
+    for store_field in (False, True):
+        tracemalloc.start()
+        try:
+            x, field, _ = _kernel.integrate_em(-1.0 - 1.31j, 0.58j, 1.0,
+                                               0.005, noise, 0.3j,
+                                               store_field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (n, 2)
+        assert peak - x.nbytes - field.nbytes <= 4 * _kernel.TILE * 16
 
 
 def test_samples_equal_the_kernel_projection_bit_for_bit():
@@ -180,7 +201,7 @@ def test_samples_equal_the_kernel_projection_bit_for_bit():
     # is projected from that pair
     model, _ = squeezing_model()
     thetas = (0.0, 0.4, 2.0, -1.1, math.pi / 2.0, 3.0)
-    cfg = kp.TrajectoryConfig(dt=0.01, duration=(3 * L + 517) * 0.01, seed=5,
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=(3 * N + 517) * 0.01, seed=5,
                               theta_list=thetas)
     series = kp.simulate(model, cfg)
     x, _, _ = _kernel.integrate_em(
@@ -202,7 +223,7 @@ def test_chunked_integration_is_seamless():
 @settings(max_examples=25, deadline=None)
 @given(detuning=st.floats(-6.0, 6.0), coupling=st.floats(0.0, 1.2),
        phase=st.floats(0.0, 2.0 * math.pi), dt=st.floats(0.001, 0.05),
-       n=st.integers(L, 12 * L))
+       n=st.integers(N, 12 * N))
 def test_chunk_size_never_changes_samples(detuning, coupling, phase, dt, n):
     model = kp.FluctuationModel("y", m11=complex(-1.0, detuning),
                                 m12=coupling * complex(math.cos(phase),
@@ -213,7 +234,7 @@ def test_chunk_size_never_changes_samples(detuning, coupling, phase, dt, n):
            and np.max(np.abs(np.linalg.eigvals(step_map))) < 1.0)
     cfg = kp.TrajectoryConfig(dt=dt, duration=n * dt, seed=n,
                               theta_list=(0.0, 1.0))
-    chunks = (L, 3 * L, DEFAULT_CHUNK, (cfg.n_steps // L + 1) * L)
+    chunks = (L, 3 * N, DEFAULT_CHUNK, (cfg.n_steps // L + 1) * L)
     runs = [kp.simulate(model, cfg, store_field=True, chunk_size=c)
             for c in chunks]
     for run in runs[1:]:
@@ -223,7 +244,7 @@ def test_chunk_size_never_changes_samples(detuning, coupling, phase, dt, n):
 
 def test_default_chunk_boundary_is_seamless():
     model, _ = squeezing_model()
-    n = DEFAULT_CHUNK + 5 * L + 123
+    n = DEFAULT_CHUNK + 5 * N + 123
     cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=4)
     assert cfg.n_steps > DEFAULT_CHUNK
     default = kp.simulate(model, cfg)
@@ -253,9 +274,9 @@ def assert_same_estimate(actual, expected):
 @settings(max_examples=25, deadline=None)
 @given(detuning=st.floats(-6.0, 6.0), coupling=st.floats(0.0, 1.2),
        phase=st.floats(0.0, 2.0 * math.pi), dt=st.floats(0.001, 0.05),
-       n=st.integers(4 * L, 12 * L), burn_in=st.floats(0.0, 0.5),
-       chunk_size=st.sampled_from([L, 3 * L, DEFAULT_CHUNK]),
-       segment_length=st.integers(16, 3 * L),
+       n=st.integers(4 * N, 12 * N), burn_in=st.floats(0.0, 0.5),
+       chunk_size=st.sampled_from([N, 3 * N, DEFAULT_CHUNK]),
+       segment_length=st.integers(16, 3 * N),
        overlap=st.floats(0.0, 0.9))
 def test_oracle_psd_equals_the_two_call_path(detuning, coupling, phase, dt,
                                              n, burn_in, chunk_size,
@@ -277,7 +298,7 @@ def test_oracle_psd_equals_the_two_call_path(detuning, coupling, phase, dt,
 
 def test_oracle_psd_default_chunking_equals_the_two_call_path():
     model, _ = squeezing_model()
-    n = 2 * DEFAULT_CHUNK + 3 * L + 77
+    n = 2 * DEFAULT_CHUNK + 3 * N + 77
     cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=8,
                               burn_in=0.013, theta_list=(0.2, 1.7))
     expected = kp.psd_estimate(kp.simulate(model, cfg), 3000, 0.3)
@@ -298,9 +319,9 @@ def drawn_run(n, burn_in, segment_length, overlap, thetas):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(4 * L, 12 * L), burn_in=st.floats(0.0, 0.5),
-       chunk_size=st.sampled_from([L, 3 * L, DEFAULT_CHUNK]),
-       segment_length=st.integers(2, 3 * L), overlap=st.floats(0.0, 0.9),
+@given(n=st.integers(4 * N, 12 * N), burn_in=st.floats(0.0, 0.5),
+       chunk_size=st.sampled_from([N, 3 * N, DEFAULT_CHUNK]),
+       segment_length=st.integers(2, 3 * N), overlap=st.floats(0.0, 0.9),
        thetas=angle_lists)
 def test_oracle_psd_equals_the_two_call_path_for_any_angle_count(
         n, burn_in, chunk_size, segment_length, overlap, thetas):
@@ -314,9 +335,9 @@ def test_oracle_psd_equals_the_two_call_path_for_any_angle_count(
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(4 * L, 12 * L),
-       chunk_size=st.sampled_from([L, 3 * L, DEFAULT_CHUNK]),
-       segment_length=st.integers(16, 3 * L), overlap=st.floats(0.0, 0.9),
+@given(n=st.integers(4 * N, 12 * N),
+       chunk_size=st.sampled_from([N, 3 * N, DEFAULT_CHUNK]),
+       segment_length=st.integers(16, 3 * N), overlap=st.floats(0.0, 0.9),
        thetas=angle_lists)
 def test_welch_matches_the_direct_per_angle_reference(
         n, chunk_size, segment_length, overlap, thetas):
@@ -348,10 +369,10 @@ def test_welch_fft_calls_do_not_grow_with_the_angle_count(monkeypatch):
     model, _ = squeezing_model()
     counts, sizes = [], []
     for thetas in ((0.3,), tuple(np.linspace(0.0, math.pi, 16))):
-        cfg = kp.TrajectoryConfig(dt=0.01, duration=8 * L * 0.01, seed=6,
+        cfg = kp.TrajectoryConfig(dt=0.01, duration=8 * N * 0.01, seed=6,
                                   theta_list=thetas)
         del calls[:]
-        kp.oracle_psd(model, cfg, 512, chunk_size=L)
+        kp.oracle_psd(model, cfg, 512, chunk_size=N)
         kp.psd_estimate(kp.simulate(model, cfg), 512)
         counts.append(len(calls))
         sizes.append(sum(calls))
@@ -362,7 +383,7 @@ def test_welch_fft_calls_do_not_grow_with_the_angle_count(monkeypatch):
 @pytest.mark.parametrize("segment_length", [0, 1, -5, 3.5, 64.0])
 def test_segment_length_must_be_an_integer_of_at_least_two(segment_length):
     model, _ = squeezing_model()
-    cfg = kp.TrajectoryConfig(dt=0.01, duration=4 * L * 0.01, seed=1)
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=4 * N * 0.01, seed=1)
     series = kp.simulate(model, cfg)
     calls = [
         lambda: kp.welch_psd(series.quadratures, series.thetas, cfg.dt,
@@ -411,7 +432,7 @@ def test_oracle_psd_raises_what_the_two_call_path_raises():
 
 def test_kernel_failure_reaches_the_caller_and_stops_the_helper(monkeypatch):
     model, _ = squeezing_model()
-    cfg = kp.TrajectoryConfig(dt=0.01, duration=8 * L * 0.01, seed=2)
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=8 * N * 0.01, seed=2)
     real = _kernel.integrate_em
     calls = []
 
@@ -424,7 +445,7 @@ def test_kernel_failure_reaches_the_caller_and_stops_the_helper(monkeypatch):
     baseline = threading.active_count()
     monkeypatch.setattr(_kernel, "integrate_em", failing)
     with pytest.raises(FloatingPointError, match="mid-run"):
-        kp.oracle_psd(model, cfg, 512, chunk_size=L)
+        kp.oracle_psd(model, cfg, 512, chunk_size=N)
     assert len(calls) == 3
     assert threading.active_count() == baseline
 
@@ -433,7 +454,7 @@ def test_concurrent_oracle_psd_calls_stay_bit_identical():
     # four callers, each with its own helper thread, on a fast switch
     # interval: a draw or a Welch feed that ran out of order would show
     model, _ = squeezing_model()
-    cfgs = [kp.TrajectoryConfig(dt=0.01, duration=6 * L * 0.01 + 0.37 * i,
+    cfgs = [kp.TrajectoryConfig(dt=0.01, duration=6 * N * 0.01 + 0.37 * i,
                                 seed=i, burn_in=0.1, theta_list=(0.0, 0.6))
             for i in range(4)]
     expected = [kp.psd_estimate(kp.simulate(model, c), 700, 0.4)
@@ -441,7 +462,7 @@ def test_concurrent_oracle_psd_calls_stay_bit_identical():
     results = [None] * len(cfgs)
 
     def run(i):
-        results[i] = kp.oracle_psd(model, cfgs[i], 700, 0.4, chunk_size=L)
+        results[i] = kp.oracle_psd(model, cfgs[i], 700, 0.4, chunk_size=N)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -472,7 +493,7 @@ def test_oracle_psd_memory_is_flat_in_duration():
     # numpy reports its buffers to tracemalloc: the streaming path holds
     # O(chunk) samples, simulate holds the whole trajectory
     model, _ = squeezing_model()
-    chunk, thetas = 2 * L, (0.0, 0.7, 1.4, 2.1)
+    chunk, thetas = 2 * N, (0.0, 0.7, 1.4, 2.1)
     short, long = (kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=3,
                                        theta_list=thetas)
                    for n in (4 * chunk, 16 * chunk))

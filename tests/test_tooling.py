@@ -12,3 +12,28 @@ def test_package_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert sorted(p.name for p in SRC.glob("*.py"))   # the walk saw files
     assert found == []
+
+
+def test_kernel_makes_no_blas_call():
+    # matrix products and linalg may go through a threaded BLAS; the kernel
+    # stays elementwise so its bits do not depend on the thread count
+    tree = ast.parse((SRC / "_kernel.py").read_text())
+    banned = {"dot", "matmul", "einsum", "linalg", "tensordot", "inner",
+              "vdot"}
+
+    def names(node):
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.alias):
+            return node.name.split(".")
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".")
+        return []
+
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(getattr(node, "op", None), ast.MatMult)
+             or banned.intersection(names(node))]
+    assert any(isinstance(node, ast.Call) for node in ast.walk(tree))
+    assert found == []
