@@ -49,6 +49,8 @@ def integrate_em(m11, m12, kappa, dt, noise, a0, store_field, out=None):
     X[k] = 2*(Re b_k, Im b_k), b_k = sqrt(2 kappa)*a_k - noise_k/dt, shape
     (n, 2), goes into ``out`` (C-contiguous) when given, field is the path
     a_k (empty unless ``store_field``), and a_final seeds the next call.
+    ``out`` may alias the noise's float view: a tile's noise is read before
+    its X is written.
     """
     noise = np.ascontiguousarray(noise, dtype=np.complex128)
     n = noise.shape[0]
@@ -84,10 +86,11 @@ def integrate_em(m11, m12, kappa, dt, noise, a0, store_field, out=None):
             x, y = g00 * x + g01 * y + end_x, g10 * x + g11 * y + end_y
         z[0, :, :nb] = np.array(starts).T           # sweep B
         _sweep(z[:BLOCK], u[:BLOCK - 1], col0, col1, step)
+        feed = np.multiply(pairs[lo:hi], 2.0 / dt,    # u is spent; read
+                           out=u_buf.reshape(-1, 2)[:hi - lo])  # before X
         x_tile = out[lo:hi]                         # 2 sqrt(2 kappa) a - 2 xi/dt
         _by_block(lambda r, c: np.multiply(c, 2.0 * sq, out=r), x_tile, z)
-        x_tile -= np.multiply(pairs[lo:hi], 2.0 / dt,     # u is spent
-                              out=u_buf.reshape(-1, 2)[:hi - lo])
+        x_tile -= feed
         if store_field:
             _by_block(np.copyto, field.view(float).reshape(n, 2)[lo:hi], z)
     return out, field, complex(x, y)

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError, ValidationError
-from .oracle import (PsdEstimate, TrajectoryConfig, compare, kernel_backend,
-                     oracle_psd)
+from .oracle import TrajectoryConfig, compare, kernel_backend, oracle_psd
 from .params import DriveField, PhysicalParams, TWO_PI_MHZ
 from .spectra import (build_drift_x, build_drift_y, fold_angle,
                       min_max_spectrum, model_validity, noise_spectrum)
@@ -445,6 +444,19 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y",
         if not sim_model.is_stable:
             raise NumericalError("perturbed oracle model is unstable")
 
+    # the Welch grid depends only on the segment length and dt, so the
+    # compared bins are picked before any step is integrated
+    omega = 2.0 * math.pi * np.fft.rfftfreq(cfg.oracle_segment_length,
+                                            d=cfg.oracle_dt)
+    band = np.nonzero((omega >= 0.1 * params.kappa)
+                      & (omega <= 3.0 * params.kappa))[0]
+    if band.size < 10:
+        raise ValidationError(
+            "oracle PSD resolution too coarse for the comparison band; "
+            "decrease oracle_dt or increase oracle_segment_length")
+    picks = np.unique(
+        band[np.linspace(0, band.size - 1, 12).round().astype(int)])
+
     omega_ref = cfg.freqs_mhz[0] * TWO_PI_MHZ
     _, _, theta_min = min_max_spectrum(model, omega_ref)
     theta_list = (theta_min, fold_angle(theta_min + math.pi / 2.0))
@@ -452,23 +464,9 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y",
                             seed=cfg.oracle_seed, burn_in=cfg.oracle_burn_in,
                             theta_list=theta_list)
     estimate = oracle_psd(sim_model, traj, cfg.oracle_segment_length,
-                          cfg.oracle_overlap)
-
-    lo, hi = 0.1 * params.kappa, 3.0 * params.kappa
-    band = np.nonzero((estimate.omega >= lo) & (estimate.omega <= hi))[0]
-    if band.size < 10:
-        raise ValidationError(
-            "oracle PSD resolution too coarse for the comparison band; "
-            "decrease oracle_dt or increase oracle_segment_length")
-    picks = band[np.linspace(0, band.size - 1, 12).round().astype(int)]
-    picks = np.unique(picks)
-    analytic = noise_spectrum(model, estimate.omega[picks], theta_list)
-    subset = PsdEstimate(omega=estimate.omega[picks],
-                         psd=estimate.psd[picks],
-                         stderr=estimate.stderr[picks],
-                         n_segments=estimate.n_segments,
-                         thetas=estimate.thetas)
-    report = compare(analytic, subset)
+                          cfg.oracle_overlap, bins=picks)
+    report = compare(noise_spectrum(model, estimate.omega, theta_list),
+                     estimate)
     return {
         **_base_meta(cfg),
         "mode": mode,

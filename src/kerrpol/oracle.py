@@ -22,14 +22,17 @@ Spectra are windowed, segment-averaged periodograms with error bars from the
 segment scatter.  They come from the 2x2 cross-spectral periodogram of the
 pair: with A, B the segment FFTs of X_0, X_pi/2, the periodogram of X_theta
 is cos^2 |A|^2 + sin^2 |B|^2 + sin(2 theta) Re(A conj(B)), so one FFT per
-segment serves every angle and X_theta is never formed.
+segment serves every angle and X_theta is never formed.  Asked for a few
+bins, Welch forms only those, one matrix product per batch of segments.
 
 The per-step recursion runs in ``_kernel``, a numpy block scan in tiles
 with O(tile) scratch that returns the pair as one (n, 2) array; its output
 does not depend on how the run is split into chunks of whole blocks.
 ``oracle_psd`` streams each chunk into the Welch sums, so its memory is
-O(chunk), not O(steps); one helper thread draws the noise and runs Welch
-while the kernel runs.  Output depends on neither chunking nor thread.
+O(chunk), not O(steps).  A chunk's noise is drawn into one buffer that the
+kernel then overwrites with X; one helper thread draws the next chunk and
+runs Welch on the previous one while the kernel runs.  Output depends on
+neither chunking nor thread.
 """
 
 from __future__ import annotations
@@ -137,11 +140,12 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
                chunk_size: int, store_field: bool, rows, sink) -> None:
     """Run the checked EM trajectory of ``cfg`` chunk by chunk, in order.
 
-    The kernel fills ``rows(k, done, m)``, an (m, 2) array, with chunk k's
-    quadratures (X_0, X_pi/2) on this thread while one helper thread draws
-    chunk k+1's noise and runs ``sink(done, x, field)`` on chunk k-1.
-    Chunk k-2's sink ends before chunk k's rows are asked for, so two row
-    buffers can alternate.
+    Chunk k lives in one buffer, ``rows(k, done, m)`` of shape (m, 2): its
+    noise is drawn into it, then the kernel writes the chunk's quadratures
+    (X_0, X_pi/2) over that noise on this thread while one helper thread
+    draws chunk k+1 and runs ``sink(done, x, field)`` on chunk k-1.  The
+    helper runs its queue in order, and draw k+1 is queued after sink k-1,
+    so sink k-1 ends before draw k+1 writes; two buffers can alternate.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -149,26 +153,28 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
     rng = np.random.default_rng(cfg.seed)
     sigma = 0.5 * math.sqrt(cfg.dt)  # per-component std of dxi
 
-    def draw(m):
+    def draw(buf):
         # (re, im) pairs keep the noise stream independent of chunking
-        normals = rng.standard_normal(2 * m)
-        return np.multiply(normals, sigma, out=normals).view(np.complex128)
+        rng.standard_normal(out=buf.reshape(-1))
+        buf *= sigma
+        return buf
 
     spans = [(done, min(chunk_size, n_total - done))
              for done in range(0, n_total, chunk_size)]
     a = 0j
     with ThreadPoolExecutor(max_workers=1) as pool:
-        noise = pool.submit(draw, spans[0][1])
+        noise = pool.submit(draw, rows(0, *spans[0]))
         sunk = []
         for k, (done, m) in enumerate(spans):
-            chunk_noise = noise.result()
+            buf = noise.result()
             if k + 1 < len(spans):
-                noise = pool.submit(draw, spans[k + 1][1])
+                noise = pool.submit(draw, rows(k + 1, *spans[k + 1]))
             if k >= 2:
-                sunk[k - 2].result()
+                sunk[k - 2].result()    # passes a sink's error on
             x, field, a = _kernel.integrate_em(
                 complex(model.m11), complex(model.m12), float(model.kappa),
-                float(cfg.dt), chunk_noise, a, store_field, rows(k, done, m))
+                float(cfg.dt), buf.reshape(-1).view(np.complex128), a,
+                store_field, buf)
             sunk.append(pool.submit(sink, done, x, field))
         for future in sunk[-2:]:
             future.result()
@@ -225,11 +231,12 @@ class _Welch:
     Segments that straddle row blocks are assembled from the kept tail.
     They go through the FFT in fixed groups of ``batch``
     consecutive segments, and the groups' moments are added in order, so
-    the sums do not depend on how the rows are split.
+    the sums do not depend on how the rows are split.  With ``bins``, only
+    those bins are formed, by a cos/-sin basis in place of the FFT.
     """
 
     def __init__(self, n: int, thetas, dt: float, segment_length: int,
-                 overlap: float) -> None:
+                 overlap: float, bins=None) -> None:
         try:
             length = operator.index(segment_length)
         except TypeError:
@@ -249,9 +256,23 @@ class _Welch:
         self.length = length
         self.thetas = np.asarray(thetas, dtype=float)
         self.omega = 2.0 * math.pi * np.fft.rfftfreq(length, d=dt)
+        self.basis = None
+        if bins is not None:
+            picked = np.asarray(bins)
+            if not (picked.ndim == 1 and picked.size > 0
+                    and picked.dtype.kind in "iu"
+                    and np.array_equal(picked, np.unique(picked))
+                    and 0 <= picked[0] and picked[-1] < self.omega.size):
+                raise ValidationError(f"bins must be increasing integer "
+                                      f"indices below {self.omega.size}")
+            self.omega = self.omega[picked]
+            # re, im pairs of the DFT at the picked bins, as rfft gives them
+            turns = np.outer(np.arange(length), picked) % length
+            self.basis = np.exp(-2j * math.pi / length * turns).view(
+                np.float64).reshape(length, 2 * picked.size)
         self.window = np.hanning(length + 1)[:-1]   # periodic Hann
         self.norm = dt / np.sum(self.window ** 2)
-        n_omega = length // 2 + 1
+        n_omega = self.omega.size
         self.batch = max(1, min(BATCH_SEGMENTS, BATCH_SAMPLES // length))
         self.segs = np.empty((self.batch, 2, length))   # windowed, pending
         self.pending = 0
@@ -297,7 +318,9 @@ class _Welch:
         k, self.pending = self.pending, 0
         if k == 0:
             return
-        x = np.fft.rfft(self.segs[:k]).view(np.float64)   # re, im pairs
+        segs = self.segs[:k]
+        x = (np.fft.rfft(segs).view(np.float64) if self.basis is None
+             else (segs.reshape(2 * k, -1) @ self.basis).reshape(k, 2, -1))
         mom, prod = self.moments[:k], self.products[:k]
         np.multiply(x[:, 0], x[:, 1], out=prod)
         np.add(prod[:, 0::2], prod[:, 1::2], out=mom[:, 2])     # r
@@ -326,7 +349,8 @@ class _Welch:
 
 
 def welch_psd(quadratures: np.ndarray, thetas, dt: float, segment_length: int,
-              overlap: float = 0.5) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+              overlap: float = 0.5,
+              bins=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Hann-windowed averaged periodogram of X_theta for each of ``thetas``.
 
     ``quadratures`` holds the columns (X_0, X_pi/2); X_theta = cos(theta)*X_0
@@ -336,41 +360,45 @@ def welch_psd(quadratures: np.ndarray, thetas, dt: float, segment_length: int,
     per-sample variance v has PSD v*dt and the shot-noise-discretized output
     (variance 1/dt) sits at 1.  Returns (omega, mean, stderr, n_segments),
     mean and stderr of shape (n_omega, n_theta); the DC bin is included,
-    frequencies are rad/s.
+    frequencies are rad/s.  ``bins``, increasing indices into
+    ``rfftfreq(segment_length, dt)``, keeps only those rows and computes
+    no others; they equal the full estimate's rows to rounding.
     """
     x = np.asarray(quadratures, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValidationError(
             f"quadratures must have shape (n, 2), got {x.shape}")
-    welch = _Welch(x.shape[0], thetas, dt, segment_length, overlap)
+    welch = _Welch(x.shape[0], thetas, dt, segment_length, overlap, bins)
     welch.feed(x)
     return welch.result()
 
 
 def psd_estimate(series: QuadratureSeries, segment_length: int,
-                 overlap: float = 0.5) -> PsdEstimate:
+                 overlap: float = 0.5, bins=None) -> PsdEstimate:
     """Welch estimate of the output quadrature spectra of ``series``."""
     return PsdEstimate(*welch_psd(series.quadratures, series.thetas,
-                                  series.dt, segment_length, overlap),
+                                  series.dt, segment_length, overlap, bins),
                        thetas=series.thetas)
 
 
 def oracle_psd(model: FluctuationModel, cfg: TrajectoryConfig,
                segment_length: int, overlap: float = 0.5,
-               chunk_size: int = DEFAULT_CHUNK) -> PsdEstimate:
+               chunk_size: int = DEFAULT_CHUNK, bins=None) -> PsdEstimate:
     """``psd_estimate(simulate(model, cfg), ...)`` without the sample array.
 
     Chunks go from the kernel straight into the Welch sums, burn-in dropped,
-    so memory is O(chunk_size); results and errors match the two-call path.
+    through two alternating chunk buffers, so memory is O(chunk_size);
+    results and errors match the two-call path.
     """
     _check_trajectory(model, cfg, chunk_size)
     n_total = cfg.n_steps
     n_burn = int(cfg.burn_in * n_total)
     welch = _Welch(n_total - n_burn, cfg.theta_list, cfg.dt, segment_length,
-                   overlap)
-    buffers = [np.empty((min(chunk_size, n_total), 2)) for _ in range(2)]
+                   overlap, bins)
+    buffers = [np.empty((min(chunk_size, n_total), 2))
+               for _ in range(min(2, -(-n_total // chunk_size)))]
     _integrate(model, cfg, chunk_size, False,
-               lambda k, done, m: buffers[k % 2][:m],
+               lambda k, done, m: buffers[k % len(buffers)][:m],
                lambda done, x, field: welch.feed(x[max(0, n_burn - done):]))
     return PsdEstimate(*welch.result(),
                        thetas=tuple(float(t) for t in cfg.theta_list))

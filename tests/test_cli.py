@@ -351,6 +351,21 @@ def test_oracle_perturbed_model_exits_3(tmp_path, capsys):
     assert not report["comparison"]["passed"]
 
 
+def test_oracle_coarse_resolution_exits_1_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    # the compared bins depend only on the segment length and dt; 1024
+    # samples of 5e-11 s put the first bin past the band's 3 kappa
+    def integrate_em(*args):
+        raise AssertionError("a step was integrated")
+
+    monkeypatch.setattr(kp.oracle._kernel, "integrate_em", integrate_em)
+    path = write_config(tmp_path, "oracle_segment_length = 1024")
+    code = cli.main(["oracle", "--config", path, "--out", str(tmp_path)])
+    assert code == 1
+    assert "resolution too coarse" in capsys.readouterr().err
+    assert not (tmp_path / "oracle_report.json").exists()
+
+
 def test_oracle_zero_duration_config_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, "oracle_duration = 0.0")
     code = cli.main(["oracle", "--config", path, "--out", str(tmp_path)])

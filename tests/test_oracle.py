@@ -1,4 +1,7 @@
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -176,6 +179,27 @@ def test_kernel_matches_reference_loop():
                     assert np.array_equal(got_field, field)
                 else:
                     assert got_field.size == 0
+
+
+def test_kernel_output_may_overwrite_its_noise():
+    # the oracle draws each chunk into the buffer the kernel writes X into:
+    # X over the noise's own float view equals X in a separate array
+    args = m11, m12, kappa, dt = -1.0 - 1.31j, 0.58j, 1.0, 0.005
+    for n in (0, 63, 3589, _kernel.TILE + 3 * 64 + 17):
+        rng = np.random.default_rng(n)
+        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
+            0.5 * math.sqrt(dt))
+        for store_field in (True, False):
+            x, field, a = _kernel.integrate_em(*args, noise, 0.3 - 0.7j,
+                                               store_field, np.empty((n, 2)))
+            buf = noise.copy()
+            alias = buf.view(np.float64).reshape(n, 2)
+            got_x, got_field, got_a = _kernel.integrate_em(
+                *args, buf, 0.3 - 0.7j, store_field, alias)
+            assert got_x is alias
+            assert np.array_equal(got_x, x)
+            assert np.array_equal(got_field, field)
+            assert got_a == a
 
 
 def test_kernel_scratch_memory_is_set_by_the_tile():
@@ -380,6 +404,93 @@ def test_welch_fft_calls_do_not_grow_with_the_angle_count(monkeypatch):
     assert sizes[1] == sizes[0]          # samples transformed, not angles
 
 
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4 * N, 12 * N), burn_in=st.floats(0.0, 0.5),
+       chunk_size=st.sampled_from([N, 3 * N, DEFAULT_CHUNK]),
+       segment_length=st.integers(2, 3 * N), overlap=st.floats(0.0, 0.9),
+       thetas=angle_lists, data=st.data())
+def test_picked_bins_equal_the_full_estimate_rows(
+        n, burn_in, chunk_size, segment_length, overlap, thetas, data):
+    model, cfg = drawn_run(n, burn_in, segment_length, overlap, thetas)
+    bins = sorted(data.draw(st.lists(st.integers(0, segment_length // 2),
+                                     min_size=1, max_size=24, unique=True)))
+    series = kp.simulate(model, cfg)
+    full = kp.psd_estimate(series, segment_length, overlap)
+    picked = kp.psd_estimate(series, segment_length, overlap, bins)
+    omega, psd, stderr, n_segments = kp.welch_psd(
+        series.quadratures, thetas, cfg.dt, segment_length, overlap, bins)
+    assert np.array_equal(omega, picked.omega)
+    assert np.array_equal(psd, picked.psd)
+    assert np.array_equal(stderr, picked.stderr)
+    assert n_segments == picked.n_segments == full.n_segments
+    assert np.array_equal(picked.omega, full.omega[bins])
+    for name in ("psd", "stderr"):
+        want = getattr(full, name)[bins]
+        assert np.all(np.abs(getattr(picked, name) - want) <= 1e-12 * want)
+    assert_same_estimate(kp.oracle_psd(model, cfg, segment_length, overlap,
+                                       chunk_size, bins), picked)
+
+
+def test_picked_bins_make_no_fft_and_ignore_the_chunking(monkeypatch):
+    def full_fft(*args, **kwargs):
+        raise AssertionError("picked bins need no full FFT")
+
+    monkeypatch.setattr(np.fft, "rfft", full_fft)
+    model, _ = squeezing_model()
+    n = 2 * DEFAULT_CHUNK + 3 * N + 77
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=8,
+                              burn_in=0.013, theta_list=(0.2, 1.7))
+    bins = np.arange(1, 13)
+    expected = kp.psd_estimate(kp.simulate(model, cfg), 3000, 0.3, bins)
+    for chunk_size in (3 * N, DEFAULT_CHUNK):
+        assert_same_estimate(
+            kp.oracle_psd(model, cfg, 3000, 0.3, chunk_size, bins), expected)
+
+
+def test_picked_bins_do_not_depend_on_the_blas_thread_count():
+    # the picked bins come from one matrix product per batch of segments,
+    # which BLAS may split across threads
+    script = (
+        "import hashlib, numpy as np, kerrpol as kp\n"
+        "m = kp.FluctuationModel('y', m11=-1.0 + 1.9j, m12=0.6j, kappa=1.0)\n"
+        "cfg = kp.TrajectoryConfig(dt=0.01, duration=600.0, seed=7,\n"
+        "                          theta_list=(0.0, 1.1))\n"
+        "e = kp.oracle_psd(m, cfg, 4096, 0.5, 1 << 14,\n"
+        "                  bins=np.arange(1, 200, 3))\n"
+        "print(hashlib.sha256(e.psd.tobytes() + e.stderr.tobytes())"
+        ".hexdigest())\n")
+    src = str(pathlib.Path(kp.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("bins", [[], [1.0, 2.0], [True], [[1, 2]],
+                                  [-1, 3], [0, 129], [3, 2], [2, 2]])
+def test_bins_must_be_increasing_indices_into_the_grid(bins):
+    model, _ = squeezing_model()
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=4 * N * 0.01, seed=1)
+    series = kp.simulate(model, cfg)
+    calls = [                       # 256-sample segments have 129 bins
+        lambda: kp.welch_psd(series.quadratures, series.thetas, cfg.dt, 256,
+                             bins=bins),
+        lambda: kp.psd_estimate(series, 256, bins=bins),
+        lambda: kp.oracle_psd(model, cfg, 256, bins=bins),
+    ]
+    for call in calls:
+        with pytest.raises(kp.ValidationError, match="bins must be"):
+            call()
+
+
 @pytest.mark.parametrize("segment_length", [0, 1, -5, 3.5, 64.0])
 def test_segment_length_must_be_an_integer_of_at_least_two(segment_length):
     model, _ = squeezing_model()
@@ -419,15 +530,25 @@ def test_oracle_psd_raises_what_the_two_call_path_raises():
         (model, short, {}, (4096,)),                  # segment > n
         (model, short, {}, (256, 0.95)),              # overlap out of range
         (model, short, {}, (800, 0.0)),               # only 2 segments
+        (unstable, kp.TrajectoryConfig(dt=0.001, duration=10.0, seed=1),
+         {"bins": []}, (256,)),
+        (model, short, {"bins": []}, (256,)),
+        (model, short, {"bins": [0, 129]}, (256,)),   # 129 bins: 0..128
+        (model, short, {"bins": [5, 5]}, (256,)),
+        (model, short, {"bins": [0.5]}, (256,)),
+        (model, short, {"bins": [1]}, (4096,)),       # segment > n
     ]
     kinds = []
     for sim_model, cfg, kwargs, welch_args in cases:
         expected = raised_by(lambda: kp.psd_estimate(
-            kp.simulate(sim_model, cfg, **kwargs), *welch_args))
+            kp.simulate(sim_model, cfg,
+                        chunk_size=kwargs.get("chunk_size", DEFAULT_CHUNK)),
+            *welch_args, bins=kwargs.get("bins")))
         assert raised_by(lambda: kp.oracle_psd(
             sim_model, cfg, *welch_args, **kwargs)) == expected
         kinds.append(expected[0])
-    assert kinds == [kp.UnstableModelError] + [kp.ValidationError] * 6
+    assert kinds == ([kp.UnstableModelError] + [kp.ValidationError] * 6
+                     + [kp.UnstableModelError] + [kp.ValidationError] * 5)
 
 
 def test_kernel_failure_reaches_the_caller_and_stops_the_helper(monkeypatch):
@@ -506,6 +627,23 @@ def test_oracle_psd_memory_is_flat_in_duration():
     assert stream[1] <= 1.2 * stream[0]
     extra_samples = (long.n_steps - short.n_steps) * 2 * 8   # (X_0, X_pi/2)
     assert whole[1] - whole[0] >= 0.95 * extra_samples
+
+
+def test_each_chunk_lives_in_one_buffer():
+    # a chunk's noise is drawn into the buffer the kernel writes X over:
+    # oracle_psd holds two chunk buffers and simulate none besides its
+    # output, each plus the kernel's and Welch's O(tile) scratch
+    model, _ = squeezing_model()
+    chunk = DEFAULT_CHUNK
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=(3 * chunk + 1000) * 0.01,
+                              seed=3)
+    scratch = 4 * _kernel.TILE * 16
+    for bins in (None, [1, 2, 5]):
+        call = lambda: kp.oracle_psd(model, cfg, 4096, bins=bins)
+        call()                                          # first-call imports
+        assert traced_peak(call) <= 2 * chunk * 2 * 8 + scratch
+    assert (traced_peak(lambda: kp.simulate(model, cfg))
+            <= cfg.n_steps * 2 * 8 + scratch)
 
 
 def test_conjugate_reconstruction_matches_two_variable_integration():
