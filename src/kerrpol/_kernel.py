@@ -43,12 +43,13 @@ def _by_block(op, rows, cols):
     op(rows[full * BLOCK:], cols[:len(rows) - full * BLOCK, :, full])
 
 
-def integrate_em(m11, m12, kappa, dt, noise, a0, store_field, out=None):
+def integrate_em(m11, m12, kappa, dt, noise, a0, field=None, out=None):
     """One Euler-Maruyama sweep over ``noise``; returns (X, field, a_final).
 
     X[k] = 2*(Re b_k, Im b_k), b_k = sqrt(2 kappa)*a_k - noise_k/dt, shape
-    (n, 2), goes into ``out`` (C-contiguous) when given, field is the path
-    a_k (empty unless ``store_field``), and a_final seeds the next call.
+    (n, 2), goes into ``out`` (C-contiguous) when given; the path a_k goes
+    into ``field`` (C-contiguous complex, shape (n,)) when given, and the
+    returned field is empty otherwise; a_final seeds the next call.
     ``out`` may alias the noise's float view: a tile's noise is read before
     its X is written.
     """
@@ -60,7 +61,7 @@ def integrate_em(m11, m12, kappa, dt, noise, a0, store_field, out=None):
     col0 = np.array([[d11.real + d12.real], [d11.imag + d12.imag]])
     col1 = np.array([[d12.imag - d11.imag], [d11.real - d12.real]])
     out = np.empty((n, 2)) if out is None else out
-    field = np.empty(n if store_field else 0, dtype=np.complex128)
+    field = np.empty(0, dtype=np.complex128) if field is None else field
     # u[i, c, b]: component c of sqrt(2 kappa)*xi at tile step b*BLOCK + i;
     # two noise-free columns from (1, 0) and (0, 1) trace the columns of F^i
     width = -(-min(n, TILE) // BLOCK) + 2
@@ -91,6 +92,6 @@ def integrate_em(m11, m12, kappa, dt, noise, a0, store_field, out=None):
         x_tile = out[lo:hi]                         # 2 sqrt(2 kappa) a - 2 xi/dt
         _by_block(lambda r, c: np.multiply(c, 2.0 * sq, out=r), x_tile, z)
         x_tile -= feed
-        if store_field:
+        if field.size:
             _by_block(np.copyto, field.view(float).reshape(n, 2)[lo:hi], z)
     return out, field, complex(x, y)

@@ -317,12 +317,8 @@ def cmd_scan(cfg: RunConfig) -> OutputTable:
     n_steps = int(math.floor((cfg.scan_stop_mhz - cfg.scan_start_mhz)
                              / cfg.scan_step_mhz + 1e-9)) + 1
     grid_mhz = cfg.scan_start_mhz + cfg.scan_step_mhz * np.arange(n_steps)
-    records = cavity_scan(params, build_drive(cfg),
-                          grid_mhz * TWO_PI_MHZ).records
-    intensity = [[None] * n_steps for _ in range(3)]
-    for i, rec in enumerate(records):
-        for b in rec.branches:
-            intensity[b.branch_index][i] = b.intensity
+    scan = cavity_scan(params, build_drive(cfg), grid_mhz * TWO_PI_MHZ)
+    half = scan.transmitted_intensity()
     return OutputTable(
         name="scan",
         columns=["delta_c_mhz", "n_branches", "intensity_branch0",
@@ -331,13 +327,12 @@ def cmd_scan(cfg: RunConfig) -> OutputTable:
                  "linear_polarization_stable"],
         units=["MHz", "1", "photon", "photon", "photon", "1", "photon/s",
                "photon/s", "bool", "bool"],
-        data=[grid_mhz, [len(r.branches) for r in records], *intensity,
-              [r.selected_branch for r in records],
-              [r.transmitted_intensity_plus for r in records],
-              [r.transmitted_intensity_minus for r in records],
-              [r.branches[r.selected_branch].mean_field_stable
-               for r in records],
-              [r.linear_polarization_stable for r in records]],
+        data=[grid_mhz, scan.n_branches,
+              *np.where(np.isnan(scan.intensity), None,
+                        scan.intensity).T.tolist(),
+              scan.selected_branch, half, half,
+              scan.selected(scan.mean_field_stable),
+              scan.linear_polarization_stable],
         meta={**_base_meta(cfg), "power_uw": cfg.power_uw})
 
 

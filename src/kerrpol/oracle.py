@@ -137,15 +137,16 @@ def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig,
 
 
 def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
-               chunk_size: int, store_field: bool, rows, sink) -> None:
+               chunk_size: int, rows, sink, field=None) -> None:
     """Run the checked EM trajectory of ``cfg`` chunk by chunk, in order.
 
     Chunk k lives in one buffer, ``rows(k, done, m)`` of shape (m, 2): its
     noise is drawn into it, then the kernel writes the chunk's quadratures
-    (X_0, X_pi/2) over that noise on this thread while one helper thread
-    draws chunk k+1 and runs ``sink(done, x, field)`` on chunk k-1.  The
-    helper runs its queue in order, and draw k+1 is queued after sink k-1,
-    so sink k-1 ends before draw k+1 writes; two buffers can alternate.
+    (X_0, X_pi/2) over that noise, and its path into ``field[done:done+m]``
+    when ``field`` is given, on this thread while one helper thread draws
+    chunk k+1 and runs ``sink(done, x)`` on chunk k-1.  The helper runs its
+    queue in order, and draw k+1 is queued after sink k-1, so sink k-1 ends
+    before draw k+1 writes; two buffers can alternate.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -171,11 +172,11 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
                 noise = pool.submit(draw, rows(k + 1, *spans[k + 1]))
             if k >= 2:
                 sunk[k - 2].result()    # passes a sink's error on
-            x, field, a = _kernel.integrate_em(
+            x, _, a = _kernel.integrate_em(
                 complex(model.m11), complex(model.m12), float(model.kappa),
                 float(cfg.dt), buf.reshape(-1).view(np.complex128), a,
-                store_field, buf)
-            sunk.append(pool.submit(sink, done, x, field))
+                None if field is None else field[done:done + m], buf)
+            sunk.append(pool.submit(sink, done, x))
         for future in sunk[-2:]:
             future.result()
 
@@ -192,11 +193,10 @@ def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
     n_total = cfg.n_steps
     n_burn = int(cfg.burn_in * n_total)
     x_out = np.empty((n_total, 2))
-    field_out = np.empty(n_total if store_field else 0, dtype=np.complex128)
-    _integrate(model, cfg, chunk_size, store_field,
+    field_out = np.empty(n_total, complex) if store_field else None
+    _integrate(model, cfg, chunk_size,
                lambda k, done, m: x_out[done:done + m],
-               lambda done, x, field: np.copyto(
-                   field_out[done:done + field.size], field))
+               lambda done, x: None, field_out)
     return QuadratureSeries(
         dt=cfg.dt,
         thetas=tuple(float(t) for t in cfg.theta_list),
@@ -397,9 +397,9 @@ def oracle_psd(model: FluctuationModel, cfg: TrajectoryConfig,
                    overlap, bins)
     buffers = [np.empty((min(chunk_size, n_total), 2))
                for _ in range(min(2, -(-n_total // chunk_size)))]
-    _integrate(model, cfg, chunk_size, False,
+    _integrate(model, cfg, chunk_size,
                lambda k, done, m: buffers[k % len(buffers)][:m],
-               lambda done, x, field: welch.feed(x[max(0, n_burn - done):]))
+               lambda done, x: welch.feed(x[max(0, n_burn - done):]))
     return PsdEstimate(*welch.result(),
                        thetas=tuple(float(t) for t in cfg.theta_list))
 

@@ -23,11 +23,14 @@ Each mode's linearized drift (see :mod:`kerrpol.spectra`) has eigenvalues
 The cubic is solved for a whole grid of detunings at once: one companion
 matrix per detuning, all in one ``eigvals`` call, giving the roots of
 ``np.roots`` bit for bit; ``cavity_scan`` solves its grid this way and
-``steady_states`` is the same solve on a grid of one.
+``steady_states`` is the same solve on a grid of one.  The scan stays
+columnar after it: the same formulas on arrays, squared by C ``pow`` as for
+floats, give every branch's margins with the bits of ``steady_states``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +60,8 @@ def saturation(alpha_x: complex, params: PhysicalParams) -> float:
     """Saturation parameter s = 2 g^2 |alpha_x|^2 / delta^2 (dimensionless)."""
     if params.delta ** 2 == 0:   # also catches an underflowing square
         raise ValidationError("saturation undefined at zero detuning")
-    return 2.0 * params.g_coupling ** 2 * abs(alpha_x) ** 2 / params.delta ** 2
+    return (2.0 * params.g_coupling ** 2 * _square(abs(alpha_x))
+            / params.delta ** 2)
 
 
 def kerr_coefficient(params: PhysicalParams) -> float:
@@ -96,7 +100,8 @@ def linearized_drift(mode: str, kappa: float, delta_c: float, delta_0: float,
     """Drift entries (m11, m12) of the ``mode`` ('x' or 'y') fluctuations.
 
     m12 is given for real alpha_x; a drive phase phi multiplies it by
-    e^{2i*phi}, which leaves the margin unchanged.
+    e^{2i*phi}, which leaves the margin unchanged.  ``delta_c`` and ``s``
+    may be arrays; the entries are then arrays of the same bits.
     """
     if mode == "x":
         return (-kappa - 1j * (delta_c - delta_0 + 2.0 * delta_0 * s),
@@ -106,8 +111,11 @@ def linearized_drift(mode: str, kappa: float, delta_c: float, delta_0: float,
 
 
 def drift_margin(kappa: float, m11: complex, m12: complex) -> float:
-    """Largest real part of the drift eigenvalues (rad/s), in closed form."""
-    radicand = abs(m12) ** 2 - m11.imag ** 2
+    """Largest real part of the drift eigenvalues (rad/s), in closed form;
+    elementwise, with the same bits, on arrays of entries."""
+    radicand = _square(abs(m12)) - _square(m11.imag)
+    if isinstance(radicand, np.ndarray):
+        return -kappa + np.sqrt(np.maximum(radicand, 0.0))
     if radicand <= 0.0:
         return -kappa
     return -kappa + math.sqrt(radicand)
@@ -302,21 +310,50 @@ class ScanRecord:
     linear_polarization_stable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Ordered cavity scan with the hysteresis traversal recorded.
+    """Ordered cavity scan as columns, one row per detuning.
 
-    ``selected_branch`` in each record is the branch the scan actually
-    follows: continuation by intensity proximity among dynamically stable
-    branches, so the traversal stays on the branch it entered on and jumps
-    only when that branch disappears at a fold.
+    The branch columns have one column per branch in order of intensity,
+    NaN (False) past a row's ``n_branches``.  ``selected_branch`` is the
+    branch the scan actually follows: continuation by intensity proximity
+    among dynamically stable branches, so the traversal stays on the branch
+    it entered on and jumps only when that branch disappears at a fold.
     """
 
-    records: tuple[ScanRecord, ...]
+    params: PhysicalParams
+    delta_c: np.ndarray               # (n,) rad/s
+    n_branches: np.ndarray            # (n,)
+    roots: np.ndarray                 # (n, 3) intensity roots of the cubic
+    intensity: np.ndarray             # (n, 3) SteadyState.intensity
+    mean_field_stable: np.ndarray     # (n, 3)
+    y_mode_margin: np.ndarray         # (n, 3) rad/s
+    selected_branch: np.ndarray       # (n,)
+
+    def selected(self, column: np.ndarray) -> np.ndarray:
+        """Each row's entry of the selected branch in a branch column."""
+        return column[np.arange(len(column)), self.selected_branch]
 
     def selected_intensity(self) -> np.ndarray:
-        return np.array([r.branches[r.selected_branch].intensity
-                         for r in self.records])
+        return self.selected(self.intensity)
+
+    def transmitted_intensity(self) -> np.ndarray:
+        """Flux of each circular component, half of 2*kappa*I."""
+        return 0.5 * (2.0 * self.params.kappa * self.selected_intensity())
+
+    @property
+    def linear_polarization_stable(self) -> np.ndarray:
+        return self.selected(self.y_mode_margin) < 0.0
+
+    @property
+    def records(self) -> tuple[ScanRecord, ...]:
+        """One ``ScanRecord`` per detuning, rebuilt on each access."""
+        p, d0 = self.params, linear_dephasing(self.params)
+        rows = zip(*(c.tolist() for c in (
+            self.delta_c, self.n_branches, self.roots, self.selected_branch,
+            self.transmitted_intensity(), self.linear_polarization_stable)))
+        return tuple(ScanRecord(d, tuple(_branches(p, d, d0, r[:n])), j, h, h,
+                                stable) for d, n, r, j, h, stable in rows)
 
 
 def cavity_scan(params: PhysicalParams, drive: DriveField,
@@ -325,8 +362,9 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
 
     The transmitted circular components each carry half of the driven-mode
     output photon flux 2*kappa*I while the linear polarization is stable.
+    Only the continuation runs point by point; the rest is columnar.
     """
-    grid = np.asarray(delta_c_grid, dtype=float)
+    grid = np.array(delta_c_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("detuning grid must be 1-D with >= 2 points")
     steps = np.diff(grid)
@@ -334,26 +372,26 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
         raise ValidationError("detuning grid must be strictly monotone")
 
     all_roots = _real_roots(params, drive.power, grid)
-    d0 = linear_dephasing(params)
-    records = []
-    previous_intensity: float | None = None
-    for delta_c, roots in zip(grid.tolist(), all_roots):
-        branches = _branches(params, delta_c, d0, roots)
-        stable = [b for b in branches if b.mean_field_stable]
-        candidates = stable if stable else list(branches)
-        if previous_intensity is None:
-            selected = min(candidates, key=lambda b: b.intensity)
-        else:
-            selected = min(candidates,
-                           key=lambda b: abs(b.intensity - previous_intensity))
-        previous_intensity = selected.intensity
-        flux = 2.0 * params.kappa * selected.intensity
-        records.append(ScanRecord(
-            delta_c=delta_c,
-            branches=tuple(branches),
-            selected_branch=selected.branch_index,
-            transmitted_intensity_plus=0.5 * flux,
-            transmitted_intensity_minus=0.5 * flux,
-            linear_polarization_stable=selected.y_mode_margin < 0.0,
-        ))
-    return ScanResult(records=tuple(records))
+    d0, kappa = linear_dephasing(params), params.kappa
+    counts = np.array(list(map(len, all_roots)))
+    present = np.arange(3) < counts[:, None]
+    roots, intensity, margin = (np.full(present.shape, np.nan)
+                                for _ in range(3))
+    roots[present] = list(itertools.chain.from_iterable(all_roots))
+    alpha, delta_c = np.sqrt(roots[present]), np.repeat(grid, counts)
+    s = saturation(alpha, params)     # one entry per branch, row by row
+    margin_x = drift_margin(kappa, *linearized_drift("x", kappa, delta_c, d0, s))
+    stable = np.zeros(present.shape, bool)
+    intensity[present], stable[present] = _square(alpha), margin_x < 0.0
+    margin[present] = drift_margin(
+        kappa, *linearized_drift("y", kappa, delta_c, d0, s))
+    selected, previous = [], None
+    for n, levels, flags in zip(counts.tolist(), intensity.tolist(),
+                                stable.tolist()):
+        candidates = [j for j in range(n) if flags[j]] or list(range(n))
+        j = candidates[0] if previous is None else min(   # first: the lowest
+            candidates, key=lambda j: abs(levels[j] - previous))
+        previous = levels[j]
+        selected.append(j)
+    return ScanResult(params, grid, counts, roots, intensity, stable, margin,
+                      np.array(selected))

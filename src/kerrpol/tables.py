@@ -2,7 +2,8 @@
 
 A table is held as columns, each of one type plus ``None`` (a missing cell),
 and each column is rendered whole, a block of rows at a time: floats with
-``repr`` (shortest round-trip form), ints with ``str``, bools as
+``repr`` (shortest round-trip form), once per distinct bit pattern of the
+block and indexed back to the cells, ints with ``str``, bools as
 ``true``/``false``, strings as CSV fields or JSON strings, ``None`` as an
 empty field or ``null``.  CSV lines are the columns' texts zipped together,
 and the JSON text equals ``json.dumps(..., indent=2)`` of the same rows.
@@ -65,9 +66,13 @@ def _texts(column: tuple, fmt: str, rows: slice) -> list[str]:
         texts = list(map(memo.__getitem__, values))
     elif kind == "b":
         texts = np.where(values, "true", "false").tolist()
+    elif kind == "f":   # one repr per distinct bit pattern: -0.0 stays apart
+        bits, inverse = np.unique(values.view(f"u{values.itemsize}"),
+                                  return_inverse=True)
+        distinct = list(map(float.__repr__, bits.view(values.dtype).tolist()))
+        texts = list(map(distinct.__getitem__, inverse.tolist()))
     else:
-        texts = list(map(float.__repr__ if kind == "f" else str,
-                         values.tolist()))
+        texts = list(map(str, values.tolist()))
     if missing is not None:
         for i in np.flatnonzero(missing[rows]).tolist():
             texts[i] = _NULL[fmt]

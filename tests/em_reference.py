@@ -2,8 +2,9 @@
 
 One step at a time, in the textbook operation order; the kernel must match it
 to rounding noise.  Same contract as ``kerrpol._kernel.integrate_em``
-without the ``out`` argument: returns (X, field, a_final), X the output
-quadrature pair (X_0, X_pi/2) of shape (n, 2).
+without the ``out`` argument and with a flag ``store_field`` in place of
+the ``field`` array: returns (X, field, a_final), X the output quadrature
+pair (X_0, X_pi/2) of shape (n, 2).
 """
 
 import math

@@ -163,19 +163,20 @@ def test_kernel_matches_reference_loop():
         args = (m11, m12, kappa, dt, noise, 0.3 - 0.7j)
         ref_x, ref_field, ref_a = em_reference.integrate_em(*args, True)
         assert ref_x.shape == (n, 2)
-        x, field, a = _kernel.integrate_em(*args, True)
+        x, field, a = _kernel.integrate_em(*args, np.empty(n, complex))
         assert_close_to(x, ref_x)
         assert_close_to(field, ref_field)
         assert abs(a - ref_a) <= 1e-12 * abs(ref_a)
-        for store_field in (True, False):
+        for into in (np.full(n, np.nan + 0j), None):
             for out in (None, np.full((n, 2), np.nan)):
                 got_x, got_field, got_a = _kernel.integrate_em(
-                    *args, store_field, out)
+                    *args, into, out)
                 assert np.array_equal(got_x, x)
                 if out is not None:
                     assert got_x is out
                 assert got_a == a
-                if store_field:
+                if into is not None:
+                    assert got_field is into
                     assert np.array_equal(got_field, field)
                 else:
                     assert got_field.size == 0
@@ -189,13 +190,14 @@ def test_kernel_output_may_overwrite_its_noise():
         rng = np.random.default_rng(n)
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
             0.5 * math.sqrt(dt))
-        for store_field in (True, False):
+        for into in ((np.empty(n, complex), np.empty(n, complex)),
+                     (None, None)):
             x, field, a = _kernel.integrate_em(*args, noise, 0.3 - 0.7j,
-                                               store_field, np.empty((n, 2)))
+                                               into[0], np.empty((n, 2)))
             buf = noise.copy()
             alias = buf.view(np.float64).reshape(n, 2)
             got_x, got_field, got_a = _kernel.integrate_em(
-                *args, buf, 0.3 - 0.7j, store_field, alias)
+                *args, buf, 0.3 - 0.7j, into[1], alias)
             assert got_x is alias
             assert np.array_equal(got_x, x)
             assert np.array_equal(got_field, field)
@@ -210,9 +212,9 @@ def test_kernel_scratch_memory_is_set_by_the_tile():
     for store_field in (False, True):
         tracemalloc.start()
         try:
-            x, field, _ = _kernel.integrate_em(-1.0 - 1.31j, 0.58j, 1.0,
-                                               0.005, noise, 0.3j,
-                                               store_field)
+            x, field, _ = _kernel.integrate_em(
+                -1.0 - 1.31j, 0.58j, 1.0, 0.005, noise, 0.3j,
+                np.empty(n, complex) if store_field else None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,8 +231,7 @@ def test_samples_equal_the_kernel_projection_bit_for_bit():
                               theta_list=thetas)
     series = kp.simulate(model, cfg)
     x, _, _ = _kernel.integrate_em(
-        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg), 0j,
-        False)
+        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg), 0j)
     assert np.array_equal(series.quadratures, x)
     assert np.array_equal(series.samples, x[:, :1] * np.cos(thetas)
                           + x[:, 1:] * np.sin(thetas))
@@ -610,6 +611,18 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def test_simulate_writes_the_field_in_place():
+    # the kernel writes each chunk's path straight into simulate's field:
+    # beyond the two outputs, three chunks hold a few tile-sized buffers
+    model, _ = squeezing_model()
+    n = 3 * DEFAULT_CHUNK
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=4)
+    outputs = n * 2 * 8 + n * 16
+    kp.simulate(model, cfg, store_field=True)           # first-call imports
+    assert (traced_peak(lambda: kp.simulate(model, cfg, store_field=True))
+            <= outputs + 4 * _kernel.TILE * 16)
+
+
 def test_oracle_psd_memory_is_flat_in_duration():
     # numpy reports its buffers to tracemalloc: the streaming path holds
     # O(chunk) samples, simulate holds the whole trajectory
@@ -656,7 +669,7 @@ def test_conjugate_reconstruction_matches_two_variable_integration():
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (0.5 * math.sqrt(dt))
     _, field, _ = _kernel.integrate_em(
         complex(model.m11), complex(model.m12), model.kappa, dt, noise, 0j,
-        True)
+        np.empty(n, complex))
 
     m = model.drift_matrix
     sq = math.sqrt(2.0 * model.kappa)

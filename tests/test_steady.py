@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import kerrpol as kp
 
+import scan_reference
 from conftest import make_params, steady_at
 
 
@@ -483,16 +484,18 @@ def per_point_roots(coeffs):
     return merged
 
 
-@settings(max_examples=150, deadline=None)
-@given(delta0=st.floats(2.0, 30.0), sign=st.sampled_from([-1.0, 1.0]),
-       dl=st.floats(1.01 * math.sqrt(3.0), 30.0), inside=st.floats(0.05, 0.95),
-       width=st.floats(1.0, 80.0), n=st.integers(2, 300),
-       case=st.sampled_from(["fold", "no atoms", "no drive"]))
-def test_batched_roots_equal_the_per_point_solve(delta0, sign, dl, inside,
-                                                 width, n, case):
-    # a grid across the bistable window of a drive inside it, plus the
-    # window's centre detuning; the degenerate cubics of an empty cavity
-    # (degree 1) and of zero drive (the root 0) on the same grids
+# a drive inside the bistable window of the detuning delta_c, and the
+# degenerate cubics of an empty cavity (degree 1) and of zero drive (the
+# root 0) at the same detuning, on a grid of n points across it
+CUBIC_CASES = dict(
+    delta0=st.floats(2.0, 30.0), sign=st.sampled_from([-1.0, 1.0]),
+    dl=st.floats(1.01 * math.sqrt(3.0), 30.0), inside=st.floats(0.05, 0.95),
+    width=st.floats(1.0, 80.0), n=st.integers(2, 300),
+    case=st.sampled_from(["fold", "no atoms", "no drive"]))
+
+
+def cubic_case(delta0, sign, dl, inside, width, n, case):
+    """(params, power, grid, delta_c) of one drawn ``CUBIC_CASES`` case."""
     delta0 *= sign
     p = make_params(delta0=delta0)
     delta_c = kp.linear_dephasing(p) - sign * dl
@@ -502,8 +505,15 @@ def test_batched_roots_equal_the_per_point_solve(delta0, sign, dl, inside,
         p = make_params(delta0=0.0)
     elif case == "no drive":
         power = 0.0
-    grid = np.append(np.linspace(delta_c - width, delta_c + width, n),
-                     delta_c)
+    return p, power, np.linspace(delta_c - width, delta_c + width, n), delta_c
+
+
+@settings(max_examples=150, deadline=None)
+@given(**CUBIC_CASES)
+def test_batched_roots_equal_the_per_point_solve(case, **draw):
+    # the grid plus the window's centre detuning
+    p, power, grid, delta_c = cubic_case(case=case, **draw)
+    grid = np.append(grid, delta_c)
     batched = kp.steady._real_roots(p, power, grid)
     assert len(batched) == grid.size
     for roots, point in zip(batched, grid.tolist()):
@@ -513,3 +523,116 @@ def test_batched_roots_equal_the_per_point_solve(delta0, sign, dl, inside,
         assert len(batched[-1]) == 3
     else:
         assert all(len(roots) == 1 for roots in batched)
+
+
+# ---------------------------------------------------------------------------
+# the columnar scan against the per-record one
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def assert_scan_equals_reference(scan, reference):
+    """Columns and derived records of ``scan`` equal the reference's bits."""
+    n = len(reference)
+    assert scan.delta_c.shape == scan.n_branches.shape == (n,)
+    assert bits(scan.delta_c) == bits([r.delta_c for r in reference])
+    # repr tells every float's bits and type apart, -0.0 from 0.0 included
+    assert repr(scan.records) == repr(reference)
+    counts = [len(r.branches) for r in reference]
+    assert scan.n_branches.tolist() == counts
+    present = np.arange(3) < np.array(counts)[:, None]
+    for column, value, pad in (
+            (scan.intensity, lambda b: b.intensity, np.nan),
+            (np.sqrt(scan.roots), lambda b: b.alpha_x.real, np.nan),
+            (scan.y_mode_margin, lambda b: b.y_mode_margin, np.nan),
+            (scan.mean_field_stable, lambda b: b.mean_field_stable, False)):
+        assert column.shape == (n, 3)
+        want = [value(b) for r in reference for b in r.branches]
+        assert bits(column[present]) == bits(want)
+        assert bits(column[~present]) == bits(np.full((~present).sum(), pad))
+    assert scan.selected_branch.tolist() == [r.selected_branch
+                                             for r in reference]
+    assert scan.linear_polarization_stable.tolist() == [
+        r.linear_polarization_stable for r in reference]
+    assert bits(scan.selected_intensity()) == bits(
+        [r.branches[r.selected_branch].intensity for r in reference])
+    assert bits(scan.transmitted_intensity()) == bits(
+        [r.transmitted_intensity_plus for r in reference])
+
+
+@settings(max_examples=100, deadline=None)
+@given(descending=st.booleans(), **CUBIC_CASES)
+def test_columnar_scan_equals_the_per_record_scan(descending, case, **draw):
+    # both directions of traversal across the bistable window, and the
+    # degenerate grids
+    p, power, grid, _ = cubic_case(case=case, **draw)
+    grid = grid[::-1] if descending else grid
+    drive = kp.DriveField.from_power(power)
+    assert_scan_equals_reference(kp.cavity_scan(p, drive, grid),
+                                 scan_reference.cavity_scan(p, drive, grid))
+
+
+def thresholds(p, drive, grid, unstable):
+    """Detunings, adjacent floats apart, between which ``unstable(branches)``
+    of the one-point solve changes, one per change along ``grid``."""
+    flags = [unstable(kp.steady_states(p, drive, d)) for d in grid.tolist()]
+    found = []
+    for lo, hi, flag in zip(grid.tolist(), grid[1:].tolist(), flags):
+        if unstable(kp.steady_states(p, drive, hi)) == flag:
+            continue
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            if unstable(kp.steady_states(p, drive, mid)) == flag:
+                lo = mid
+            else:
+                hi = mid
+        found.append(lo)
+    return found
+
+
+@pytest.mark.parametrize("mode", ["x", "y"])
+@pytest.mark.parametrize("delta0", [-8.0, 8.0])
+def test_scan_flags_at_the_stability_thresholds(mode, delta0):
+    # detunings a few ulp either side of where a mode's margin crosses zero:
+    # the driven mode's at the folds, the orthogonal mode's at its
+    # oscillation threshold on the upper branch; the columnar flags equal
+    # the scalar margin's sign, branch by branch
+    p = make_params(delta0=delta0)
+    d0, kappa = kp.linear_dephasing(p), p.kappa
+    drive = kp.DriveField.from_power(3.0 / (kp.kerr_coefficient(p) * abs(d0)))
+    if mode == "x":
+        unstable = lambda branches: not all(b.mean_field_stable
+                                            for b in branches)
+    else:
+        unstable = lambda branches: branches[-1].y_mode_margin >= 0.0
+    points = thresholds(p, drive, np.linspace(d0 - 8.0, d0 + 8.0, 161),
+                        unstable)
+    assert len(points) >= 2
+    closest = math.inf
+    for point in points:
+        grid = [point]
+        for _ in range(8):
+            grid = [np.nextafter(grid[0], -np.inf), *grid,
+                    np.nextafter(grid[-1], np.inf)]
+        scan = kp.cavity_scan(p, drive, np.array(grid))
+        assert_scan_equals_reference(
+            scan, scan_reference.cavity_scan(p, drive, np.array(grid)))
+        flipped = set()
+        for i, delta_c in enumerate(scan.delta_c.tolist()):
+            flags = []
+            for j in range(scan.n_branches[i]):
+                s = kp.saturation(math.sqrt(scan.roots[i, j]), p)
+                margin = kp.steady.drift_margin(kappa, *kp.steady.linearized_drift(
+                    mode, kappa, delta_c, d0, s))
+                assert type(margin) is float
+                column = (scan.mean_field_stable[i, j] if mode == "x"
+                          else scan.y_mode_margin[i, j] < 0.0)
+                assert column == (margin < 0.0)
+                flags.append(margin < 0.0)
+                closest = min(closest, abs(margin))
+            flipped.add(tuple(flags))
+        assert len(flipped) >= 2     # the grid straddles the threshold
+    # the y margin crosses zero within rounding; the x margin at a fold
+    # only to where the merged roots part
+    assert closest <= (1e-6 if mode == "x" else 1e-12) * kappa

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrpol as kp
+from kerrpol import tables as tables_module
 from kerrpol.tables import OutputTable
 
 FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308]),
@@ -101,6 +102,44 @@ def test_columnar_table_renders_each_cell_kind():
     assert table.to_csv_text().splitlines()[1:] == [
         "# seed: 7", "# s: 0.25", "# units: 1,1,1,1,1", "a,b,c,d,e",
         '1.5,2,true,,"a,b"', '-0.0,-3,false,x,"q"""']
+
+
+@st.composite
+def float_columns(draw):
+    """A float64 or float32 column, with few distinct values or many, past
+    one render block or within it, with or without missing cells."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+               info.smallest_normal / 3.0, info.max, -info.max,
+               np.nextafter(info.max, 0, dtype=dtype)]
+    drawn = draw(st.lists(st.floats(width=np.finfo(dtype).bits,
+                                    allow_nan=False, allow_infinity=False),
+                          max_size=30))
+    pool = np.array(special + drawn, dtype=dtype)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_rows = draw(st.sampled_from([0, 1, 7, tables_module._BLOCK_ROWS,
+                                   tables_module._BLOCK_ROWS + 1,
+                                   2 * tables_module._BLOCK_ROWS + 5]))
+    values = pool[rng.integers(0, draw(st.integers(1, pool.size)), n_rows)]
+    if draw(st.booleans()):
+        return values
+    return [None if gone else v
+            for gone, v in zip(rng.random(n_rows) < 0.3, values.tolist())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(column=float_columns())
+def test_each_float_cell_renders_as_its_own_repr(column):
+    # one repr per distinct float of a block, indexed back, gives every cell
+    # the text of float.__repr__ on that cell alone
+    cells = [None if v is None else float.__repr__(float(v)) for v in column]
+    table = OutputTable("t", ["x", "i"], ["1", "1"],
+                        data=[column, np.arange(len(cells))])
+    csv_rows = table.to_csv_text().split("\n")[3:-1]
+    assert csv_rows == [f"{c or ''},{i}" for i, c in enumerate(cells)]
+    rows = json.loads(table.to_json_text(), parse_float=str)["rows"]
+    assert rows == [[c, i] for i, c in enumerate(cells)]
 
 
 @pytest.mark.parametrize("data, error", [

@@ -1,5 +1,7 @@
 import ast
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kerrpol"
 
@@ -37,3 +39,18 @@ def test_kernel_makes_no_blas_call():
              or banned.intersection(names(node))]
     assert any(isinstance(node, ast.Call) for node in ast.walk(tree))
     assert found == []
+
+
+def test_import_loads_only_numpy_and_the_stdlib():
+    # the declared dependencies are numpy alone, and a fresh interpreter's
+    # import time grows with every module the package and its command line
+    # pull in
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "before = set(sys.modules); import kerrpol, kerrpol.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    loaded = subprocess.run(
+        [sys.executable, "-c", code, str(SRC.parent)], check=True,
+        capture_output=True, text=True).stdout.split()
+    assert {"kerrpol.oracle", "kerrpol.cli"} <= set(loaded)
+    allowed = {"kerrpol", "numpy", *sys.stdlib_module_names}
+    assert [m for m in loaded if m.split(".")[0] not in allowed] == []
