@@ -18,22 +18,21 @@ from .spectra import (FluctuationModel, NoiseSpectrum, build_drift_x,
                       build_drift_y, drift_x_nonlinear, drift_y_nonlinear,
                       fold_angle, min_max_spectrum, model_validity,
                       noise_spectrum, quadrature_spectrum, transfer)
-from .steady import (ScanRecord, ScanResult, SteadyState, cavity_scan,
-                     drive_for_intensity, kerr_coefficient, linear_dephasing,
-                     saturation, steady_state_residual, steady_states,
-                     turning_points, x_mode_margin, y_mode_stability)
+from .steady import (ScanResult, SteadyState, cavity_scan, drive_for_intensity,
+                     kerr_coefficient, linear_dephasing, saturation,
+                     steady_state_residual, steady_states, turning_points)
 from .stokes import (PhaseScanDataset, StokesRecord, apply_detection_loss,
                      phase_scan_dataset, recover_lossless, stokes_means,
-                     stokes_noise, stokes_s0_s1_noise, stokes_theta)
+                     stokes_noise)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ComparisonReport", "DriveField", "FluctuationModel", "KerrpolError",
     "NoiseSpectrum", "NumericalError", "PhaseScanDataset", "PhysicalParams",
-    "PsdEstimate", "QuadratureSeries", "ScanRecord", "ScanResult",
-    "SingularTransferError", "SteadyState", "StokesRecord",
-    "TrajectoryConfig", "UnstableModelError", "ValidationError",
+    "PsdEstimate", "QuadratureSeries", "ScanResult", "SingularTransferError",
+    "SteadyState", "StokesRecord", "TrajectoryConfig", "UnstableModelError",
+    "ValidationError",
     "apply_detection_loss", "build_drift_x", "build_drift_y", "cavity_scan",
     "compare", "drift_x_nonlinear", "drift_y_nonlinear",
     "drive_for_intensity", "fold_angle", "kernel_backend", "kerr_coefficient",
@@ -41,7 +40,5 @@ __all__ = [
     "noise_spectrum", "oracle_psd", "phase_scan_dataset", "psd_estimate",
     "quadrature_spectrum", "recover_lossless", "saturation", "simulate",
     "steady_state_residual", "steady_states", "stokes_means", "stokes_noise",
-    "stokes_s0_s1_noise", "stokes_theta", "transfer", "turning_points",
-    "welch_psd",
-    "x_mode_margin", "y_mode_stability",
+    "transfer", "turning_points", "welch_psd",
 ]

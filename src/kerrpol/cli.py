@@ -187,8 +187,9 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
 
     if cfg.kappa_mhz <= 0:
         fail("kappa_mhz", "must be > 0")
-    if cfg.gamma_perp_mhz < 0 or cfg.gamma_par_mhz < 0:
-        fail("gamma_perp_mhz", "decay channels must be >= 0")
+    for key in ("gamma_perp_mhz", "gamma_par_mhz"):
+        if getattr(cfg, key) < 0:
+            fail(key, "decay channels must be >= 0")
     if cfg.gamma_mhz != cfg.gamma_perp_mhz + cfg.gamma_par_mhz:
         fail("gamma_mhz",
              f"must equal gamma_perp_mhz + gamma_par_mhz exactly "

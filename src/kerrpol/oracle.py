@@ -96,22 +96,15 @@ class TrajectoryConfig:
 class QuadratureSeries:
     """Output quadrature records after burn-in removal.
 
-    Only the pair (X_0, X_pi/2) is stored; ``samples`` forms
-    X_theta = cos(theta)*X_0 + sin(theta)*X_pi/2 for each of ``thetas``.
+    Only the pair (X_0, X_pi/2) is stored; any angle's record is
+    X_theta = cos(theta)*X_0 + sin(theta)*X_pi/2 of its columns, and
+    ``psd_estimate`` gives the spectrum of each of ``thetas`` without it.
     """
 
     dt: float
     thetas: tuple[float, ...]
     quadratures: np.ndarray             # shape (n_kept, 2): X_0, X_pi/2
     field: np.ndarray | None            # intracavity trajectory, optional
-    seed: int
-
-    @property
-    def samples(self) -> np.ndarray:
-        """X_theta(t), shape (n_kept, n_theta), computed on each access."""
-        thetas = np.asarray(self.thetas, dtype=float)
-        x = self.quadratures
-        return x[:, :1] * np.cos(thetas) + x[:, 1:] * np.sin(thetas)
 
 
 def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig,
@@ -201,8 +194,7 @@ def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
         dt=cfg.dt,
         thetas=tuple(float(t) for t in cfg.theta_list),
         quadratures=x_out[n_burn:],
-        field=field_out[n_burn:] if store_field else None,
-        seed=cfg.seed)
+        field=field_out[n_burn:] if store_field else None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -237,16 +237,16 @@ def min_max_spectrum(model: FluctuationModel,
 class NoiseSpectrum:
     """Quadrature noise over an (omega, theta) grid, shot noise = 1.
 
-    ``values[i, j]`` is S(omega[i], theta[j]).  ``metadata`` records the
-    steady-state snapshot and whether detection loss has been applied
-    (spectra from :func:`noise_spectrum` are lossless).
+    ``values[i, j]`` is S(omega[i], theta[j]), lossless; detection loss is
+    applied to values, by :func:`kerrpol.stokes.apply_detection_loss`.
+    ``at_theta(theta)`` is the homodyne spectrum at local-oscillator phase
+    theta, and for the y mode the normalized Stokes noise at that phase.
     """
 
     omega: np.ndarray
     theta: np.ndarray
     values: np.ndarray
     mode_label: str
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.omega.size, self.theta.size):
@@ -254,16 +254,13 @@ class NoiseSpectrum:
         if np.any(self.values < 0.0):
             raise ValidationError("quadrature noise cannot be negative")
 
-    def theta_index(self, theta: float) -> int:
+    def at_theta(self, theta: float) -> np.ndarray:
+        """S(omega) at one covered phase."""
         match = np.nonzero(np.abs(self.theta - theta) <= 1e-12)[0]
         if match.size == 0:
             raise ValidationError(
                 f"spectrum does not cover theta = {theta!r}")
-        return int(match[0])
-
-    def at_theta(self, theta: float) -> np.ndarray:
-        """S(omega) at one covered phase."""
-        return self.values[:, self.theta_index(theta)]
+        return self.values[:, int(match[0])]
 
 
 def noise_spectrum(model: FluctuationModel, omega_grid,
@@ -280,9 +277,7 @@ def noise_spectrum(model: FluctuationModel, omega_grid,
     values = iso[:, None] + np.real(np.exp(-2j * theta)[None, :] * conj[:, None])
     values = np.where(np.abs(values) < 1e-15, 0.0, values)
     return NoiseSpectrum(omega=omega, theta=theta, values=values,
-                         mode_label=model.mode_label,
-                         metadata={"steady": model.steady_ref,
-                                   "eta_applied": False})
+                         mode_label=model.mode_label)
 
 
 def model_validity(model: FluctuationModel, params: PhysicalParams,

@@ -121,21 +121,6 @@ def drift_margin(kappa: float, m11: complex, m12: complex) -> float:
     return -kappa + math.sqrt(radicand)
 
 
-def x_mode_margin(steady: "SteadyState", params: PhysicalParams) -> float:
-    """Stability margin of the driven-mode linearization (rad/s)."""
-    return drift_margin(params.kappa, *linearized_drift(
-        "x", params.kappa, steady.delta_c, steady.delta_0, steady.s_x))
-
-
-def y_mode_stability(steady: "SteadyState", params: PhysicalParams) -> float:
-    """Stability margin of the orthogonal-mode linearization (rad/s).
-
-    Negative: linear polarization stable; zero: the oscillation threshold.
-    """
-    return drift_margin(params.kappa, *linearized_drift(
-        "y", params.kappa, steady.delta_c, steady.delta_0, steady.s_x))
-
-
 def cubic_coefficients(params: PhysicalParams, power: float, delta_c):
     """Coefficients (a3, a2, a1, a0) of the steady-state cubic in I.
 
@@ -265,15 +250,13 @@ def drive_for_intensity(params: PhysicalParams, delta_c: float,
 
 
 def turning_points(params: PhysicalParams,
-                   drive_range: tuple[float, float] | None,
                    delta_c: float) -> list[tuple[float, float]]:
     """Fold points (I, P) of the S-curve where dP/dI = 0, sorted by I.
 
     Solving dP/dI = 0 with u = delta_0*c*I gives
     3 u^2 + 4 (delta_c - delta_0) u + (delta_c - delta_0)^2 + kappa^2 = 0;
     real solutions require |delta_c - delta_0| >= sqrt(3)*kappa and a sign of
-    u compatible with I > 0.  ``drive_range`` (P_lo, P_hi), when given,
-    filters the returned points by their drive value.
+    u compatible with I > 0.
     """
     d0 = linear_dephasing(params)
     c = kerr_coefficient(params)
@@ -290,24 +273,10 @@ def turning_points(params: PhysicalParams,
         intensity = u / slope
         if intensity <= 0.0:
             continue
-        power = drive_for_intensity(params, delta_c, intensity)
-        if drive_range is not None and not (drive_range[0] <= power <= drive_range[1]):
-            continue
-        points.append((intensity, power))
+        points.append((intensity,
+                       drive_for_intensity(params, delta_c, intensity)))
     points.sort()
     return points
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    """Steady-state picture at one cavity detuning during a scan."""
-
-    delta_c: float
-    branches: tuple[SteadyState, ...]
-    selected_branch: int
-    transmitted_intensity_plus: float
-    transmitted_intensity_minus: float
-    linear_polarization_stable: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,6 +288,8 @@ class ScanResult:
     branch the scan actually follows: continuation by intensity proximity
     among dynamically stable branches, so the traversal stays on the branch
     it entered on and jumps only when that branch disappears at a fold.
+    The columns carry the bits of the branches ``steady_states`` gives at
+    each detuning; for the ``SteadyState`` objects of one row, call it.
     """
 
     params: PhysicalParams
@@ -344,16 +315,6 @@ class ScanResult:
     @property
     def linear_polarization_stable(self) -> np.ndarray:
         return self.selected(self.y_mode_margin) < 0.0
-
-    @property
-    def records(self) -> tuple[ScanRecord, ...]:
-        """One ``ScanRecord`` per detuning, rebuilt on each access."""
-        p, d0 = self.params, linear_dephasing(self.params)
-        rows = zip(*(c.tolist() for c in (
-            self.delta_c, self.n_branches, self.roots, self.selected_branch,
-            self.transmitted_intensity(), self.linear_polarization_stable)))
-        return tuple(ScanRecord(d, tuple(_branches(p, d, d0, r[:n])), j, h, h,
-                                stable) for d, n, r, j, h, stable in rows)
 
 
 def cavity_scan(params: PhysicalParams, drive: DriveField,

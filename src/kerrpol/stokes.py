@@ -11,9 +11,15 @@ so V_S2(w) = alpha_x^2 * S_{theta=0}(w) and V_S3(w) = alpha_x^2 *
 S_{theta=pi/2}(w): polarization squeezing is vacuum squeezing of the
 orthogonal mode, and the homodyne photocurrent at local-oscillator phase
 theta_hd measures the Stokes combination cos(theta_hd)*dS2 +
-sin(theta_hd)*dS3, i.e. the y-mode quadrature at theta_hd.  theta_hd is
-measured relative to the mean field, the single phase convention shared with
-the spectra module.
+sin(theta_hd)*dS3, i.e. the y-mode quadrature at theta_hd: the normalized
+Stokes noise there is ``NoiseSpectrum.at_theta(theta_hd)`` of the y-mode
+spectrum.  theta_hd is measured relative to the mean field, the single phase
+convention shared with the spectra module.
+
+S0 and S1 belong to the driven mode: to linear order
+dS0 = dS1 = alpha_x*(dA_x+ + dA_x), its amplitude quadrature, so their
+normalized noise is ``at_theta(0.0)`` of the x-mode spectrum.  Only the
+S2/S3 pair carries a nontrivial uncertainty bound.
 
 A lumped detection efficiency eta mixes in vacuum: S -> eta*S + (1 - eta).
 """
@@ -75,9 +81,11 @@ class StokesRecord:
 def stokes_noise(spectrum_y: NoiseSpectrum, alpha_x: complex) -> list[StokesRecord]:
     """Map the orthogonal-mode spectrum onto Stokes records, one per omega.
 
-    Requires the spectrum to cover theta = 0 and theta = pi/2 (phases
-    relative to the mean field).
+    Requires the orthogonal-mode spectrum, covering theta = 0 and
+    theta = pi/2 (phases relative to the mean field).
     """
+    if spectrum_y.mode_label != "y":
+        raise ValidationError("S2/S3 noise reads the orthogonal-mode spectrum")
     intensity = abs(alpha_x) ** 2
     s2 = spectrum_y.at_theta(0.0)
     s3 = spectrum_y.at_theta(math.pi / 2.0)
@@ -91,29 +99,6 @@ def stokes_noise(spectrum_y: NoiseSpectrum, alpha_x: complex) -> list[StokesReco
             omega=float(w))
         for w, a, b in zip(spectrum_y.omega, s2, s3)
     ]
-
-
-def stokes_theta(spectrum_y: NoiseSpectrum, theta_hd: float) -> np.ndarray:
-    """Normalized V_S(theta_hd) over the spectrum's frequencies.
-
-    The homodyne projection cos(theta)*dS2 + sin(theta)*dS3 is the y-mode
-    quadrature at theta_hd, so the normalized Stokes noise equals the
-    quadrature spectrum at that phase.
-    """
-    return spectrum_y.at_theta(theta_hd).copy()
-
-
-def stokes_s0_s1_noise(spectrum_x: NoiseSpectrum) -> np.ndarray:
-    """Normalized V_S0(omega) = V_S1(omega) for x-polarized light.
-
-    To linear order both total-flux and flux-difference fluctuations are the
-    driven mode's amplitude quadrature: dS0 = dS1 = alpha_x*(dA_x+ + dA_x).
-    Included for completeness; the S2/S3 pair carries the only nontrivial
-    uncertainty bound.
-    """
-    if spectrum_x.mode_label != "x":
-        raise ValidationError("S0/S1 noise reads the driven-mode spectrum")
-    return spectrum_x.at_theta(0.0).copy()
 
 
 def apply_detection_loss(s, eta: float):
@@ -153,7 +138,6 @@ class PhaseScanDataset:
     v_theta: np.ndarray
     omega: float
     eta: float
-    eta_applied: bool
 
     def __post_init__(self) -> None:
         if not (self.theta_hd.shape == self.cos_theta.shape == self.v_theta.shape):
@@ -162,8 +146,7 @@ class PhaseScanDataset:
             raise ValidationError("cos_theta must equal cos(theta_hd) exactly")
         if np.any(self.v_theta < 0.0):
             raise ValidationError("scan noise cannot be negative")
-        floor = (1.0 - self.eta) if self.eta_applied else 0.0
-        if np.any(self.v_theta < floor - 1e-12):
+        if np.any(self.v_theta < (1.0 - self.eta) - 1e-12):
             raise ValidationError("scan noise fell below the loss floor")
 
 
@@ -178,5 +161,4 @@ def phase_scan_dataset(model_y: FluctuationModel, omega: float, theta_grid,
         cos_theta=np.cos(theta),
         v_theta=np.asarray(v, dtype=float),
         omega=float(omega),
-        eta=float(eta),
-        eta_applied=True)
+        eta=float(eta))

@@ -63,7 +63,8 @@ def draw_operating_point(rng, require_x_stable=False, margin_slack=0.05):
         if steady.y_mode_margin >= -margin_slack:
             continue
         if require_x_stable:
-            if kp.x_mode_margin(steady, params) >= -margin_slack:
+            if (kp.build_drift_x(steady, params).stability_margin
+                    >= -margin_slack):
                 continue
         return params, steady
 

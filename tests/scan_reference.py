@@ -2,17 +2,31 @@
 
 One frozen ``SteadyState`` per branch and one ``ScanRecord`` per detuning,
 built one at a time in scalar Python, with the saturation and the drift
-margin written out as scalar formulas; ``kerrpol.cavity_scan`` must match
-it bit for bit.  Takes the roots of ``kerrpol.steady._real_roots``, the one
-cubic solve both share, and returns the tuple of records.
+margin written out as scalar formulas; the columns of ``kerrpol.cavity_scan``
+and the branches of ``kerrpol.steady_states`` must match it bit for bit.
+Takes the roots of ``kerrpol.steady._real_roots``, the one cubic solve all
+three share, and returns the tuple of records.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from kerrpol.steady import (ScanRecord, SteadyState, _real_roots,
-                            linear_dephasing, linearized_drift)
+from kerrpol.steady import (SteadyState, _real_roots, linear_dephasing,
+                            linearized_drift)
+
+
+@dataclass(frozen=True)
+class ScanRecord:
+    """Steady-state picture at one cavity detuning during a scan."""
+
+    delta_c: float
+    branches: tuple[SteadyState, ...]
+    selected_branch: int
+    transmitted_intensity_plus: float
+    transmitted_intensity_minus: float
+    linear_polarization_stable: bool
 
 
 def saturation(alpha_x, params):

@@ -160,7 +160,7 @@ def test_criterion_4_bistability_correctness():
             for b, r in zip(branches, oracle_roots):
                 assert b.intensity == pytest.approx(r, rel=1e-7)
 
-            points = kp.turning_points(p, None, delta_c)
+            points = kp.turning_points(p, delta_c)
             dl = delta_c - delta0
             if abs(dl) >= math.sqrt(3.0) * p.kappa + 0.05:
                 assert len(points) == 2

@@ -61,6 +61,13 @@ def test_gamma_sum_accepted_and_rejected_with_line_number():
         cli.parse_config(bad)
 
 
+@pytest.mark.parametrize("key", ["gamma_perp_mhz", "gamma_par_mhz"])
+def test_negative_decay_channel_rejected_under_its_own_key(key):
+    with pytest.raises(kp.ValidationError,
+                       match=f"^config line 1: {key}: decay channels"):
+        cli.parse_config(f"{key} = -1.0\n")
+
+
 def test_unknown_and_duplicate_keys_rejected():
     with pytest.raises(kp.ValidationError, match="line 1.*unknown"):
         cli.parse_config("kappa_mzh = 5.0\n")

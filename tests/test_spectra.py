@@ -203,8 +203,6 @@ def test_noise_spectrum_grid_matches_pointwise(rng):
         for j, th in enumerate(thetas):
             assert grid.values[i, j] == pytest.approx(
                 kp.quadrature_spectrum(model, float(w), float(th)), rel=1e-10)
-    assert grid.metadata["eta_applied"] is False
-    assert grid.metadata["steady"] is steady
 
 
 def test_spectrum_symmetries(rng):

@@ -168,7 +168,7 @@ def test_bistable_regime_roots_match_bracketing_oracle(rng):
 def test_three_branches_between_turning_points():
     p = make_params(delta0=-8.0)
     delta_c = kp.linear_dephasing(p) + 3.0
-    (i_lo, p_hi), (i_hi, p_lo) = kp.turning_points(p, None, delta_c)
+    (i_lo, p_hi), (i_hi, p_lo) = kp.turning_points(p, delta_c)
     power = 0.5 * (p_lo + p_hi)
     branches = kp.steady_states(p, kp.DriveField.from_power(power), delta_c)
     assert len(branches) == 3
@@ -189,7 +189,7 @@ def test_cubic_roots_near_the_folds(delta0, sign, dl, low_fold, eps):
     delta0 *= sign
     p = make_params(delta0=delta0)
     delta_c = kp.linear_dephasing(p) - sign * dl   # the fold side
-    (_, p_hi), (_, p_lo) = kp.turning_points(p, None, delta_c)
+    (_, p_hi), (_, p_lo) = kp.turning_points(p, delta_c)
     # near the cusp the window is narrower than eps: stay inside it
     eps_in = min(eps, 0.25 * (p_hi - p_lo) / p_hi)
     if low_fold:
@@ -227,15 +227,15 @@ def test_residual_invariant_on_random_draws(rng):
 def test_turning_points_empty_when_monostable():
     p = make_params(delta0=-8.0)
     d0 = kp.linear_dephasing(p)
-    assert kp.turning_points(p, None, d0 + 1.0) == []     # |dl| < sqrt(3)
-    assert kp.turning_points(p, None, d0 - 3.0) == []     # wrong fold side
-    assert kp.turning_points(make_params(delta0=0.0), None, 2.0) == []
+    assert kp.turning_points(p, d0 + 1.0) == []     # |dl| < sqrt(3)
+    assert kp.turning_points(p, d0 - 3.0) == []     # wrong fold side
+    assert kp.turning_points(make_params(delta0=0.0), 2.0) == []
 
 
 def test_turning_points_match_brute_force_extrema():
     p = make_params(delta0=-8.0)
     delta_c = kp.linear_dephasing(p) + 3.0
-    points = kp.turning_points(p, None, delta_c)
+    points = kp.turning_points(p, delta_c)
     assert len(points) == 2
 
     c = kp.kerr_coefficient(p)
@@ -256,7 +256,7 @@ def test_turning_points_merge_at_bistability_onset():
     d0 = kp.linear_dephasing(p)
     gaps = []
     for dl in (3.0, 2.2, 1.9, math.sqrt(3.0) + 1e-4):
-        pts = kp.turning_points(p, None, d0 + dl)
+        pts = kp.turning_points(p, d0 + dl)
         assert len(pts) == 2
         gaps.append(pts[1][0] - pts[0][0])
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -267,7 +267,7 @@ def test_turning_points_merge_at_bistability_onset():
     for dl, expect_fold in ((math.sqrt(3.0) + 0.05, True),
                             (math.sqrt(3.0) - 0.05, False)):
         delta_c = d0 + dl
-        pts = kp.turning_points(p, None, delta_c)
+        pts = kp.turning_points(p, delta_c)
         assert bool(pts) is expect_fold
         if pts:
             p_mid = 0.5 * (pts[0][1] + pts[1][1])
@@ -280,16 +280,6 @@ def test_turning_points_merge_at_bistability_onset():
                     p, kp.drive_for_intensity(p, delta_c, 2.0 / abs(
                         kp.kerr_coefficient(p) * d0)), delta_c))
             assert disc < 0.0
-
-
-def test_turning_points_drive_range_filter():
-    p = make_params(delta0=-8.0)
-    delta_c = kp.linear_dephasing(p) + 3.0
-    (i1, p1), (i2, p2) = kp.turning_points(p, None, delta_c)
-    lo, hi = sorted((p1, p2))
-    only_low = kp.turning_points(p, (0.0, 0.5 * (lo + hi)), delta_c)
-    assert len(only_low) == 1
-    assert only_low[0][1] <= 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +303,18 @@ def test_branch_flags_equal_model_margins(delta0, sign, s, det_y):
         model_y = kp.build_drift_y(steady, params)
         assert steady.mean_field_stable == model_x.is_stable
         assert steady.y_mode_margin == model_y.stability_margin
-        assert kp.x_mode_margin(steady, params) == model_x.stability_margin
-        assert kp.y_mode_stability(steady, params) == model_y.stability_margin
+        # each model's margin is the closed form on the branch's own fields
+        for mode, model in (("x", model_x), ("y", model_y)):
+            assert model.stability_margin == kp.steady.drift_margin(
+                params.kappa, *kp.steady.linearized_drift(
+                    mode, params.kappa, steady.delta_c, steady.delta_0,
+                    steady.s_x))
 
 
 def test_y_margin_without_saturation_is_minus_kappa():
     p = make_params(delta0=-8.0)
     b = kp.steady_states(p, kp.DriveField(alpha_in=0j), delta_c=-4.0)[0]
-    assert kp.y_mode_stability(b, p) == pytest.approx(-p.kappa)
+    assert kp.build_drift_y(b, p).stability_margin == pytest.approx(-p.kappa)
 
 
 def test_y_margin_zero_at_threshold_boundary():
@@ -332,7 +326,7 @@ def test_y_margin_zero_at_threshold_boundary():
     delta_c = kp.linear_dephasing(p) * (1.0 - s) + det_y
     steady = steady_at(p, delta_c, s)
     assert abs(steady.s_x - s) < 1e-9
-    assert abs(kp.y_mode_stability(steady, p)) <= 1e-9 * p.kappa
+    assert abs(kp.build_drift_y(steady, p).stability_margin) <= 1e-9 * p.kappa
 
 
 def test_y_margin_matches_numerical_eigenvalues(rng):
@@ -345,7 +339,7 @@ def test_y_margin_matches_numerical_eigenvalues(rng):
             kp.steady_states(p, kp.DriveField(alpha_in=0j), delta_c)[0]
         model = kp.build_drift_y(steady, p)
         eig_margin = float(np.max(np.linalg.eigvals(model.drift_matrix).real))
-        closed = kp.y_mode_stability(steady, p)
+        closed = model.stability_margin
         assert closed == pytest.approx(eig_margin, rel=1e-9, abs=1e-9)
 
 
@@ -360,10 +354,11 @@ def test_scan_without_atoms_reproduces_lorentzian():
     intensity = scan.selected_intensity()
     lorentz = 2.0 * p.kappa * power / (p.kappa ** 2 + grid ** 2)
     assert np.allclose(intensity, lorentz, rtol=1e-12)
-    for r in scan.records:
-        assert len(r.branches) == 1
-        assert r.linear_polarization_stable
-        assert r.transmitted_intensity_plus == r.transmitted_intensity_minus
+    assert scan.n_branches.tolist() == [1] * grid.size
+    assert scan.linear_polarization_stable.all()
+    # each circular component carries half the output flux 2*kappa*I
+    assert np.array_equal(scan.transmitted_intensity(),
+                          0.5 * (2.0 * p.kappa * intensity))
 
 
 def test_weak_drive_scan_symmetric_and_stable():
@@ -373,8 +368,8 @@ def test_weak_drive_scan_symmetric_and_stable():
     grid = np.linspace(d0 - 5.0, d0 + 5.0, 201)
     scan = kp.cavity_scan(p, kp.DriveField.from_power(1e-4 / c), grid)
     intensity = scan.selected_intensity()
-    assert np.all([r.linear_polarization_stable for r in scan.records])
-    assert np.all([len(r.branches) == 1 for r in scan.records])
+    assert scan.linear_polarization_stable.all()
+    assert scan.n_branches.tolist() == [1] * grid.size
     # peak centered on the dressed resonance, symmetric within the tiny shift
     peak = grid[np.argmax(intensity)]
     assert abs(peak - d0) < 0.1
@@ -392,14 +387,14 @@ def test_strong_drive_scan_jumps_at_lower_branch_fold():
                        > 10.0 * np.median(np.abs(np.diff(intensity))) + 1e-9)[0]
     assert jumps.size >= 1
     k = int(jumps[np.argmax(np.abs(np.diff(intensity))[jumps])])
-    delta_jump = float(scan.records[k].delta_c)
+    delta_jump = float(scan.delta_c[k])
     # at the jump detuning the disappearing branch sits at a fold whose drive
     # matches the applied drive
-    pts = kp.turning_points(p, None, delta_jump)
+    pts = kp.turning_points(p, delta_jump)
     assert pts, "no fold at the jump detuning"
     closest = min(abs(pw - power) / power for _, pw in pts)
     grid_step = float(grid[1] - grid[0])
-    neighbors = kp.turning_points(p, None, delta_jump + grid_step)
+    neighbors = kp.turning_points(p, delta_jump + grid_step)
     tol = max(closest, min(abs(pw - power) / power for _, pw in neighbors))
     assert tol < 0.02
     # the followed intensity right before the jump is near the fold intensity
@@ -416,11 +411,14 @@ def test_scan_flags_polarization_instability_interval():
     c = kp.kerr_coefficient(p)
     power = 3.0 / (c * abs(d0))
     grid = np.linspace(d0 - 8.0, d0 + 8.0, 1601)
-    scan = kp.cavity_scan(p, kp.DriveField.from_power(power), grid)
-    flags = np.array([r.linear_polarization_stable for r in scan.records])
+    drive = kp.DriveField.from_power(power)
+    scan = kp.cavity_scan(p, drive, grid)
+    flags = scan.linear_polarization_stable
     assert flags.any() and (~flags).any()
-    margins = np.array([r.branches[r.selected_branch].y_mode_margin
-                        for r in scan.records])
+    # the selected branch's margin, from the one-point solve at each row
+    margins = np.array([kp.steady_states(p, drive, d)[j].y_mode_margin
+                        for d, j in zip(scan.delta_c.tolist(),
+                                        scan.selected_branch.tolist())])
     assert np.array_equal(flags, margins < 0.0)
 
 
@@ -499,7 +497,7 @@ def cubic_case(delta0, sign, dl, inside, width, n, case):
     delta0 *= sign
     p = make_params(delta0=delta0)
     delta_c = kp.linear_dephasing(p) - sign * dl
-    (_, p_hi), (_, p_lo) = kp.turning_points(p, None, delta_c)
+    (_, p_hi), (_, p_lo) = kp.turning_points(p, delta_c)
     power = p_lo + inside * (p_hi - p_lo)
     if case == "no atoms":
         p = make_params(delta0=0.0)
@@ -532,14 +530,21 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
-def assert_scan_equals_reference(scan, reference):
-    """Columns and derived records of ``scan`` equal the reference's bits."""
+def assert_scan_equals_reference(scan, reference, drive):
+    """Columns of ``scan``, and ``steady_states`` at a few of its rows,
+    equal the reference's bits."""
     n = len(reference)
     assert scan.delta_c.shape == scan.n_branches.shape == (n,)
     assert bits(scan.delta_c) == bits([r.delta_c for r in reference])
-    # repr tells every float's bits and type apart, -0.0 from 0.0 included
-    assert repr(scan.records) == repr(reference)
     counts = [len(r.branches) for r in reference]
+    # the one-point solve at the first, middle and last rows and at the
+    # first row with three roots; repr tells every float's bits and type
+    # apart, -0.0 from 0.0 included
+    rows = {0, n // 2, n - 1, *[i for i, c in enumerate(counts) if c == 3][:1]}
+    for i in sorted(rows):
+        r = reference[i]
+        assert repr(kp.steady_states(scan.params, drive, r.delta_c)) == repr(
+            list(r.branches))
     assert scan.n_branches.tolist() == counts
     present = np.arange(3) < np.array(counts)[:, None]
     for column, value, pad in (
@@ -570,7 +575,8 @@ def test_columnar_scan_equals_the_per_record_scan(descending, case, **draw):
     grid = grid[::-1] if descending else grid
     drive = kp.DriveField.from_power(power)
     assert_scan_equals_reference(kp.cavity_scan(p, drive, grid),
-                                 scan_reference.cavity_scan(p, drive, grid))
+                                 scan_reference.cavity_scan(p, drive, grid),
+                                 drive)
 
 
 def thresholds(p, drive, grid, unstable):
@@ -617,7 +623,7 @@ def test_scan_flags_at_the_stability_thresholds(mode, delta0):
                     np.nextafter(grid[-1], np.inf)]
         scan = kp.cavity_scan(p, drive, np.array(grid))
         assert_scan_equals_reference(
-            scan, scan_reference.cavity_scan(p, drive, np.array(grid)))
+            scan, scan_reference.cavity_scan(p, drive, np.array(grid)), drive)
         flipped = set()
         for i, delta_c in enumerate(scan.delta_c.tolist()):
             flags = []

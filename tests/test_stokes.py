@@ -93,6 +93,16 @@ def test_stokes_noise_requires_both_phases():
         kp.stokes_noise(spec, 1.0 + 0j)
 
 
+def test_stokes_noise_rejects_the_driven_mode_spectrum():
+    # S2/S3 are the orthogonal mode's quadratures; the driven mode's
+    # spectrum holds S0/S1 and must not be mapped onto them
+    p, steady, _ = squeezed_setup(s=0.15, delta0=-8.0, det_y=0.3)
+    thetas = np.array([0.0, math.pi / 2])
+    spec_x = kp.noise_spectrum(kp.build_drift_x(steady, p), [0.4], thetas)
+    with pytest.raises(kp.ValidationError, match="orthogonal-mode"):
+        kp.stokes_noise(spec_x, steady.alpha_x)
+
+
 # ---------------------------------------------------------------------------
 # homodyne projection
 
@@ -101,8 +111,8 @@ def test_stokes_theta_endpoints_reproduce_s2_s3():
     thetas = np.array([0.0, math.pi / 2, 0.4])
     spec = kp.noise_spectrum(model, [0.5, 1.5], thetas)
     rec = kp.stokes_noise(spec, steady.alpha_x)
-    v0 = kp.stokes_theta(spec, 0.0)
-    v90 = kp.stokes_theta(spec, math.pi / 2)
+    v0 = spec.at_theta(0.0)
+    v90 = spec.at_theta(math.pi / 2)
     assert v0[0] == rec[0].v_s2_norm and v0[1] == rec[1].v_s2_norm
     assert v90[0] == rec[0].v_s3_norm and v90[1] == rec[1].v_s3_norm
 
@@ -113,19 +123,16 @@ def test_s0_s1_noise_is_driven_mode_amplitude_quadrature():
     assert model_x.is_stable
     omegas = np.array([0.4, 1.1])
     spec_x = kp.noise_spectrum(model_x, omegas, np.array([0.0, 0.7]))
-    v01 = kp.stokes_s0_s1_noise(spec_x)
+    v01 = spec_x.at_theta(0.0)
     for k, w in enumerate(omegas):
         assert v01[k] == pytest.approx(
             kp.quadrature_spectrum(model_x, float(w), 0.0), rel=1e-10)
-    spec_y = flat_vacuum_spectrum(thetas=np.array([0.0]))
-    with pytest.raises(kp.ValidationError):
-        kp.stokes_s0_s1_noise(spec_y)
 
 
 def test_stokes_theta_flat_spectrum_is_one_everywhere():
     spec = flat_vacuum_spectrum()
     for th in spec.theta:
-        assert kp.stokes_theta(spec, float(th))[0] == pytest.approx(1.0, abs=1e-9)
+        assert spec.at_theta(float(th))[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_stokes_theta_equals_engine_quadrature_everywhere(rng):
@@ -137,7 +144,7 @@ def test_stokes_theta_equals_engine_quadrature_everywhere(rng):
     spec = kp.noise_spectrum(model, [0.8], thetas)
     for th in thetas:
         direct = kp.quadrature_spectrum(model, 0.8, float(th))
-        assert kp.stokes_theta(spec, float(th))[0] == pytest.approx(
+        assert spec.at_theta(float(th))[0] == pytest.approx(
             direct, rel=1e-10)
 
 
@@ -146,7 +153,7 @@ def test_minimum_tracks_squeezing_angle_30_degrees():
     p, steady, model = squeezed_to_angle(target)
     thetas = np.linspace(-math.pi, math.pi, 721)
     spec = kp.noise_spectrum(model, [0.6], thetas)
-    values = np.array([kp.stokes_theta(spec, float(t))[0] for t in thetas])
+    values = np.array([spec.at_theta(float(t))[0] for t in thetas])
     k = int(np.argmin(values))
     dist = abs(math.remainder(thetas[k] - target, math.pi))
     assert dist <= float(thetas[1] - thetas[0])
@@ -248,7 +255,6 @@ def test_phase_scan_respects_loss_floor(rng):
     thetas = np.linspace(-math.pi, math.pi, 181)
     eta = 0.6
     ds = kp.phase_scan_dataset(model, 0.4, thetas, eta=eta)
-    assert ds.eta_applied
     assert np.all(ds.v_theta >= 1.0 - eta)
     # pre-loss values recoverable
     bare = kp.noise_spectrum(model, [0.4], thetas).values[0]

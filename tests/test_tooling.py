@@ -2,6 +2,9 @@ import ast
 import pathlib
 import subprocess
 import sys
+import types
+
+import kerrpol
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kerrpol"
 
@@ -54,3 +57,13 @@ def test_import_loads_only_numpy_and_the_stdlib():
     assert {"kerrpol.oracle", "kerrpol.cli"} <= set(loaded)
     allowed = {"kerrpol", "numpy", *sys.stdlib_module_names}
     assert [m for m in loaded if m.split(".")[0] not in allowed] == []
+
+
+def test_all_lists_every_public_export():
+    # a name deleted from a module cannot linger in __all__, and a public
+    # name the package imports is either exported or kept private
+    public = sorted(name for name, value in vars(kerrpol).items()
+                    if not name.startswith("_")
+                    and not isinstance(value, types.ModuleType))
+    assert len(kerrpol.__all__) == len(set(kerrpol.__all__))
+    assert sorted(kerrpol.__all__) == public
