@@ -6,12 +6,12 @@ constant-coefficient prefix scan of Blelloch 1990.  With F the one-step map
 on (Re a, Im a), each tile of TILE steps is cut into blocks of BLOCK steps:
 sweep A runs every block from zero, vectorized across blocks; the start
 states are carried in order, s_{b+1} = F^BLOCK s_b + (end of block b from
-zero); sweep B reruns every block from s_b and writes the trajectory.  The
-scratch is tile-sized, so a call holds O(TILE) memory besides its output.
-Blocks start at the call's first step and all arithmetic is elementwise (no
-BLAS), so results do not depend on thread count and whole-block calls chain
-bit-identically.  The output is the quadrature pair X_0 = 2 Re b,
-X_pi/2 = 2 Im b, b = sqrt(2 kappa)*a - xi/dt, that every angle comes from.
+zero); sweep B reruns every block from s_b and writes, over the noise's
+(re, im) pairs, the quadrature pair X_0 = 2 Re b, X_pi/2 = 2 Im b,
+b = sqrt(2 kappa)*a - xi/dt, that every angle comes from.  The scratch is
+tile-sized, so a call allocates O(TILE) memory.  Blocks start at the call's
+first step and all arithmetic is elementwise (no BLAS), so results do not
+depend on thread count and whole-block calls chain bit-identically.
 """
 
 from __future__ import annotations
@@ -43,25 +43,19 @@ def _by_block(op, rows, cols):
     op(rows[full * BLOCK:], cols[:len(rows) - full * BLOCK, :, full])
 
 
-def integrate_em(m11, m12, kappa, dt, noise, a0, field=None, out=None):
-    """One Euler-Maruyama sweep over ``noise``; returns (X, field, a_final).
+def integrate_em(m11, m12, kappa, dt, pairs, a0):
+    """One Euler-Maruyama sweep over the noise ``pairs``; returns a_final.
 
-    X[k] = 2*(Re b_k, Im b_k), b_k = sqrt(2 kappa)*a_k - noise_k/dt, shape
-    (n, 2), goes into ``out`` (C-contiguous) when given; the path a_k goes
-    into ``field`` (C-contiguous complex, shape (n,)) when given, and the
-    returned field is empty otherwise; a_final seeds the next call.
-    ``out`` may alias the noise's float view: a tile's noise is read before
-    its X is written.
+    ``pairs`` (C-contiguous, shape (n, 2)) holds (Re xi_k, Im xi_k) and is
+    overwritten with X[k] = 2*(Re b_k, Im b_k), b_k = sqrt(2 kappa)*a_k -
+    xi_k/dt, each tile's noise read before its X is written.  a_final, the
+    state after the last step, seeds the next call.
     """
-    noise = np.ascontiguousarray(noise, dtype=np.complex128)
-    n = noise.shape[0]
-    pairs = noise.view(np.float64).reshape(n, 2)
+    n = len(pairs)
     sq = math.sqrt(2.0 * kappa)
     d11, d12 = complex(dt * m11), complex(dt * m12)
     col0 = np.array([[d11.real + d12.real], [d11.imag + d12.imag]])
     col1 = np.array([[d12.imag - d11.imag], [d11.real - d12.real]])
-    out = np.empty((n, 2)) if out is None else out
-    field = np.empty(0, dtype=np.complex128) if field is None else field
     # u[i, c, b]: component c of sqrt(2 kappa)*xi at tile step b*BLOCK + i;
     # two noise-free columns from (1, 0) and (0, 1) trace the columns of F^i
     width = -(-min(n, TILE) // BLOCK) + 2
@@ -89,9 +83,7 @@ def integrate_em(m11, m12, kappa, dt, noise, a0, field=None, out=None):
         _sweep(z[:BLOCK], u[:BLOCK - 1], col0, col1, step)
         feed = np.multiply(pairs[lo:hi], 2.0 / dt,    # u is spent; read
                            out=u_buf.reshape(-1, 2)[:hi - lo])  # before X
-        x_tile = out[lo:hi]                         # 2 sqrt(2 kappa) a - 2 xi/dt
+        x_tile = pairs[lo:hi]                       # 2 sqrt(2 kappa) a - 2 xi/dt
         _by_block(lambda r, c: np.multiply(c, 2.0 * sq, out=r), x_tile, z)
         x_tile -= feed
-        if field.size:
-            _by_block(np.copyto, field.view(float).reshape(n, 2)[lo:hi], z)
-    return out, field, complex(x, y)
+    return complex(x, y)

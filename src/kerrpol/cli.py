@@ -251,6 +251,14 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
             fail("power_uw", "the steady-state cubic is not finite")
         if not all(map(math.isfinite, coeffs)):
             fail(key, "the steady-state cubic is not finite")
+    if _scan_points(cfg) < 2:     # the cubic checks keep the span finite
+        fail("scan_step_mhz", "must leave at least 2 scan points")
+
+
+def _scan_points(cfg: RunConfig) -> float:
+    """Scan point count, start to stop by step; inf for a step too fine."""
+    return np.floor((cfg.scan_stop_mhz - cfg.scan_start_mhz)
+                    / cfg.scan_step_mhz + 1e-9) + 1
 
 
 def _is_index(branch: str) -> bool:
@@ -315,9 +323,8 @@ def cmd_validate(cfg: RunConfig, log=print) -> int:
 
 def cmd_scan(cfg: RunConfig) -> OutputTable:
     params = build_params(cfg)
-    n_steps = int(math.floor((cfg.scan_stop_mhz - cfg.scan_start_mhz)
-                             / cfg.scan_step_mhz + 1e-9)) + 1
-    grid_mhz = cfg.scan_start_mhz + cfg.scan_step_mhz * np.arange(n_steps)
+    grid_mhz = cfg.scan_start_mhz + cfg.scan_step_mhz * np.arange(
+        _scan_points(cfg))
     scan = cavity_scan(params, build_drive(cfg), grid_mhz * TWO_PI_MHZ)
     half = scan.transmitted_intensity()
     return OutputTable(

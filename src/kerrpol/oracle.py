@@ -26,8 +26,8 @@ segment serves every angle and X_theta is never formed.  Asked for a few
 bins, Welch forms only those, one matrix product per batch of segments.
 
 The per-step recursion runs in ``_kernel``, a numpy block scan in tiles
-with O(tile) scratch that returns the pair as one (n, 2) array; its output
-does not depend on how the run is split into chunks of whole blocks.
+with O(tile) scratch that writes the pair over its (n, 2) noise buffer; its
+output does not depend on how the run is split into chunks of whole blocks.
 ``oracle_psd`` streams each chunk into the Welch sums, so its memory is
 O(chunk), not O(steps).  A chunk's noise is drawn into one buffer that the
 kernel then overwrites with X; one helper thread draws the next chunk and
@@ -104,7 +104,6 @@ class QuadratureSeries:
     dt: float
     thetas: tuple[float, ...]
     quadratures: np.ndarray             # shape (n_kept, 2): X_0, X_pi/2
-    field: np.ndarray | None            # intracavity trajectory, optional
 
 
 def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig,
@@ -130,14 +129,13 @@ def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig,
 
 
 def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
-               chunk_size: int, rows, sink, field=None) -> None:
+               chunk_size: int, rows, sink) -> None:
     """Run the checked EM trajectory of ``cfg`` chunk by chunk, in order.
 
     Chunk k lives in one buffer, ``rows(k, done, m)`` of shape (m, 2): its
-    noise is drawn into it, then the kernel writes the chunk's quadratures
-    (X_0, X_pi/2) over that noise, and its path into ``field[done:done+m]``
-    when ``field`` is given, on this thread while one helper thread draws
-    chunk k+1 and runs ``sink(done, x)`` on chunk k-1.  The helper runs its
+    noise is drawn into it, then on this thread the kernel writes the chunk's
+    quadratures (X_0, X_pi/2) over it, while one helper thread draws chunk
+    k+1 and runs ``sink(done, buffer)`` on chunk k-1.  The helper runs its
     queue in order, and draw k+1 is queued after sink k-1, so sink k-1 ends
     before draw k+1 writes; two buffers can alternate.
     """
@@ -159,42 +157,35 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
     with ThreadPoolExecutor(max_workers=1) as pool:
         noise = pool.submit(draw, rows(0, *spans[0]))
         sunk = []
-        for k, (done, m) in enumerate(spans):
+        for k, (done, _) in enumerate(spans):
             buf = noise.result()
             if k + 1 < len(spans):
                 noise = pool.submit(draw, rows(k + 1, *spans[k + 1]))
             if k >= 2:
                 sunk[k - 2].result()    # passes a sink's error on
-            x, _, a = _kernel.integrate_em(
+            a = _kernel.integrate_em(
                 complex(model.m11), complex(model.m12), float(model.kappa),
-                float(cfg.dt), buf.reshape(-1).view(np.complex128), a,
-                None if field is None else field[done:done + m], buf)
-            sunk.append(pool.submit(sink, done, x))
+                float(cfg.dt), buf, a)
+            sunk.append(pool.submit(sink, done, buf))
         for future in sunk[-2:]:
             future.result()
 
 
 def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
-             store_field: bool = False,
              chunk_size: int = DEFAULT_CHUNK) -> QuadratureSeries:
-    """Integrate the linear fluctuation dynamics; deterministic per seed.
+    """Integrate the linear fluctuation dynamics on ``default_rng(seed)``.
 
-    Noise comes from ``numpy.random.default_rng(seed)``: identical configs give
-    bit-identical series for any ``chunk_size`` of whole kernel blocks.
+    Each chunk's noise is drawn into its rows of the output and the kernel
+    writes X over it; any ``chunk_size`` of whole blocks gives the same bits.
     """
     _check_trajectory(model, cfg, chunk_size)
-    n_total = cfg.n_steps
-    n_burn = int(cfg.burn_in * n_total)
-    x_out = np.empty((n_total, 2))
-    field_out = np.empty(n_total, complex) if store_field else None
+    x_out = np.empty((cfg.n_steps, 2))
+    n_burn = int(cfg.burn_in * cfg.n_steps)
     _integrate(model, cfg, chunk_size,
                lambda k, done, m: x_out[done:done + m],
-               lambda done, x: None, field_out)
-    return QuadratureSeries(
-        dt=cfg.dt,
-        thetas=tuple(float(t) for t in cfg.theta_list),
-        quadratures=x_out[n_burn:],
-        field=field_out[n_burn:] if store_field else None)
+               lambda done, x: None)
+    return QuadratureSeries(dt=cfg.dt, quadratures=x_out[n_burn:],
+                            thetas=tuple(float(t) for t in cfg.theta_list))
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,8 +102,7 @@ def test_criterion_3_oracle_equivalence():
         cfg = kp.TrajectoryConfig(dt=0.005, duration=2.0e5, seed=20240406,
                                   burn_in=0.01, theta_list=(0.0, 0.8))
         assert cfg.duration >= 2.0e5 / p.kappa
-        series = kp.simulate(model, cfg)
-        estimate = kp.psd_estimate(series, 16384, overlap=0.5)
+        estimate = kp.oracle_psd(model, cfg, 16384, overlap=0.5)
 
         band = np.nonzero((estimate.omega > 0.15) & (estimate.omega < 1.5))[0]
         picks = band[np.linspace(0, band.size - 1, 12).round().astype(int)]
@@ -114,7 +113,7 @@ def test_criterion_3_oracle_equivalence():
                                 psd=estimate.psd[picks],
                                 stderr=estimate.stderr[picks],
                                 n_segments=estimate.n_segments,
-                                thetas=series.thetas)
+                                thetas=estimate.thetas)
         report = kp.compare(analytic, subset)
         assert len(report.z) >= 20
         assert report.fraction_within_3 >= 0.95

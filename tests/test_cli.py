@@ -279,6 +279,21 @@ def test_validate_rejects_an_unsolvable_cubic_with_line_number(
     assert f"config line {lineno}: {key}:" in capsys.readouterr().err
 
 
+def test_scan_of_one_point_rejected_with_line_number(tmp_path, capsys):
+    # the step passes "> 0" and the bounds are ordered, yet the grid holds
+    # only the start point: validate and scan both name the step's line
+    path = write_config(tmp_path, "scan_start_mhz = -380",
+                        "scan_stop_mhz = -300", "scan_step_mhz = 100")
+    lineno = (tmp_path / "run.cfg").read_text().splitlines().index(
+        "scan_step_mhz = 100") + 1
+    for command in ("validate", "scan"):
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path)]) == 1
+        assert (f"config line {lineno}: scan_step_mhz:"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_stokes_tables_and_invariants(tmp_path):
     assert cli.main(["stokes", "--config", FIXTURE,
                      "--out", str(tmp_path)]) == 0

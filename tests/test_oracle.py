@@ -100,8 +100,11 @@ def test_stationary_field_variance_is_half():
     # stationary <|a|^2> balances at 1/2 quantum
     model, _ = empty_resonant_model()
     cfg = kp.TrajectoryConfig(dt=0.02, duration=8000.0, seed=42, burn_in=0.05)
-    series = kp.simulate(model, cfg, store_field=True)
-    mag2 = np.abs(series.field) ** 2
+    x = kp.simulate(model, cfg).quadratures
+    # the path behind X: (X_0 + i X_pi/2)/2 = b_k = sqrt(2 kappa) a_k - xi_k/dt
+    b = (x[:, 0] + 1j * x[:, 1]) / 2.0
+    xi = reference_noise(cfg)[cfg.n_steps - len(x):]
+    mag2 = np.abs((b + xi / cfg.dt) / math.sqrt(2.0 * model.kappa)) ** 2
     blocks = np.array_split(mag2, 64)
     means = np.array([b.mean() for b in blocks])
     stderr = means.std(ddof=1) / math.sqrt(len(means))
@@ -112,10 +115,9 @@ def test_fixed_seed_is_bit_identical():
     model, _ = squeezing_model()
     cfg = kp.TrajectoryConfig(dt=0.01, duration=200.0, seed=7,
                               theta_list=(0.0, 0.9))
-    s1 = kp.simulate(model, cfg, store_field=True)
-    s2 = kp.simulate(model, cfg, store_field=True)
+    s1 = kp.simulate(model, cfg)
+    s2 = kp.simulate(model, cfg)
     assert np.array_equal(samples(s1), samples(s2))
-    assert np.array_equal(s1.field, s2.field)
 
 
 def test_different_seeds_agree_within_errors():
@@ -139,6 +141,12 @@ def reference_noise(cfg):
     return (draws[0::2] + 1j * draws[1::2]) * (0.5 * math.sqrt(cfg.dt))
 
 
+def kernel_x(m11, m12, kappa, dt, noise, a0):
+    """(X, a_final) of the kernel run over a pair copy of complex ``noise``."""
+    pairs = np.column_stack((noise.real, noise.imag))
+    return pairs, _kernel.integrate_em(m11, m12, kappa, dt, pairs, a0)
+
+
 def assert_close_to(actual, reference, rtol=1e-12):
     assert actual.shape == reference.shape
     assert (np.max(np.abs(actual - reference), initial=0.0)
@@ -149,85 +157,63 @@ def test_simulate_matches_reference_loop():
     model, _ = squeezing_model()
     cfg = kp.TrajectoryConfig(dt=0.01, duration=500.0, seed=11,
                               theta_list=(0.3,))
-    series = kp.simulate(model, cfg, store_field=True)
-    x, field, _ = em_reference.integrate_em(
-        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg), 0j,
-        True)
+    series = kp.simulate(model, cfg)
+    x, _ = em_reference.integrate_em(
+        model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg), 0j)
     assert_close_to(series.quadratures, x)
     assert_close_to(samples(series), x[:, :1] * math.cos(0.3)
                     + x[:, 1:] * math.sin(0.3))
-    assert_close_to(series.field, field)
 
 
 def test_kernel_matches_reference_loop():
     # the last block is partial and the start state is off zero, in a run
-    # within one tile, an empty run and a run across a tile boundary; every
-    # way of calling the kernel gives the same pair, bit for bit
+    # within one tile, an empty run and a run across a tile boundary
     m11, m12, kappa, dt = -1.0 - 1.31j, 0.58j, 1.0, 0.005
     for n in (3 * N + 517, 0, _kernel.TILE + 3 * L + 17):
         rng = np.random.default_rng(21)
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
             0.5 * math.sqrt(dt))
         args = (m11, m12, kappa, dt, noise, 0.3 - 0.7j)
-        ref_x, ref_field, ref_a = em_reference.integrate_em(*args, True)
+        ref_x, ref_a = em_reference.integrate_em(*args)
         assert ref_x.shape == (n, 2)
-        x, field, a = _kernel.integrate_em(*args, np.empty(n, complex))
+        x, a = kernel_x(*args)
         assert_close_to(x, ref_x)
-        assert_close_to(field, ref_field)
         assert abs(a - ref_a) <= 1e-12 * abs(ref_a)
-        for into in (np.full(n, np.nan + 0j), None):
-            for out in (None, np.full((n, 2), np.nan)):
-                got_x, got_field, got_a = _kernel.integrate_em(
-                    *args, into, out)
-                assert np.array_equal(got_x, x)
-                if out is not None:
-                    assert got_x is out
-                assert got_a == a
-                if into is not None:
-                    assert got_field is into
-                    assert np.array_equal(got_field, field)
-                else:
-                    assert got_field.size == 0
 
 
 def test_kernel_output_may_overwrite_its_noise():
-    # the oracle draws each chunk into the buffer the kernel writes X into:
-    # X over the noise's own float view equals X in a separate array
+    # the oracle draws each chunk into the buffer the kernel writes X over:
+    # a call writes only its own rows, so whole-block calls over slices of
+    # one buffer, chained through a_final, give the whole call bit for bit
     args = m11, m12, kappa, dt = -1.0 - 1.31j, 0.58j, 1.0, 0.005
     for n in (0, 63, 3589, _kernel.TILE + 3 * 64 + 17):
         rng = np.random.default_rng(n)
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
             0.5 * math.sqrt(dt))
-        for into in ((np.empty(n, complex), np.empty(n, complex)),
-                     (None, None)):
-            x, field, a = _kernel.integrate_em(*args, noise, 0.3 - 0.7j,
-                                               into[0], np.empty((n, 2)))
-            buf = noise.copy()
-            alias = buf.view(np.float64).reshape(n, 2)
-            got_x, got_field, got_a = _kernel.integrate_em(
-                *args, buf, 0.3 - 0.7j, into[1], alias)
-            assert got_x is alias
-            assert np.array_equal(got_x, x)
-            assert np.array_equal(got_field, field)
-            assert got_a == a
+        x, a = kernel_x(*args, noise, 0.3 - 0.7j)
+        assert x.shape == (n, 2)
+        pieces = np.column_stack((noise.real, noise.imag))
+        got_a = 0.3 - 0.7j
+        for lo, hi in ((0, L), (L, 5 * L), (5 * L, _kernel.TILE + L),
+                       (_kernel.TILE + L, n)):
+            got_a = _kernel.integrate_em(*args, pieces[lo:hi], got_a)
+        assert np.array_equal(pieces, x)
+        assert got_a == a
 
 
 def test_kernel_scratch_memory_is_set_by_the_tile():
-    # numpy reports its buffers to tracemalloc: beyond the arrays it
-    # returns, one call over several tiles holds a few tile-sized buffers
+    # numpy reports its buffers to tracemalloc: a call writes over its
+    # noise and allocates no output, so over several tiles it holds a few
+    # tile-sized buffers
     n = 4 * _kernel.TILE + 3 * L + 17
-    noise = np.full(n, 0.01 - 0.02j)
-    for store_field in (False, True):
-        tracemalloc.start()
-        try:
-            x, field, _ = _kernel.integrate_em(
-                -1.0 - 1.31j, 0.58j, 1.0, 0.005, noise, 0.3j,
-                np.empty(n, complex) if store_field else None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert x.shape == (n, 2)
-        assert peak - x.nbytes - field.nbytes <= 4 * _kernel.TILE * 16
+    pairs = np.full((n, 2), (0.01, -0.02))
+    tracemalloc.start()
+    try:
+        _kernel.integrate_em(-1.0 - 1.31j, 0.58j, 1.0, 0.005, pairs, 0.3j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * _kernel.TILE * 16
 
 
 def test_samples_equal_the_kernel_projection_bit_for_bit():
@@ -238,7 +224,7 @@ def test_samples_equal_the_kernel_projection_bit_for_bit():
     cfg = kp.TrajectoryConfig(dt=0.01, duration=(3 * N + 517) * 0.01, seed=5,
                               theta_list=thetas)
     series = kp.simulate(model, cfg)
-    x, _, _ = _kernel.integrate_em(
+    x, _ = kernel_x(
         model.m11, model.m12, model.kappa, cfg.dt, reference_noise(cfg), 0j)
     assert np.array_equal(series.quadratures, x)
     assert np.array_equal(samples(series), x[:, :1] * np.cos(thetas)
@@ -268,11 +254,9 @@ def test_chunk_size_never_changes_samples(detuning, coupling, phase, dt, n):
     cfg = kp.TrajectoryConfig(dt=dt, duration=n * dt, seed=n,
                               theta_list=(0.0, 1.0))
     chunks = (L, 3 * N, DEFAULT_CHUNK, (cfg.n_steps // L + 1) * L)
-    runs = [kp.simulate(model, cfg, store_field=True, chunk_size=c)
-            for c in chunks]
+    runs = [kp.simulate(model, cfg, chunk_size=c) for c in chunks]
     for run in runs[1:]:
         assert np.array_equal(samples(run), samples(runs[0]))
-        assert np.array_equal(run.field, runs[0].field)
 
 
 def test_default_chunk_boundary_is_seamless():
@@ -619,18 +603,6 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_simulate_writes_the_field_in_place():
-    # the kernel writes each chunk's path straight into simulate's field:
-    # beyond the two outputs, three chunks hold a few tile-sized buffers
-    model, _ = squeezing_model()
-    n = 3 * DEFAULT_CHUNK
-    cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=4)
-    outputs = n * 2 * 8 + n * 16
-    kp.simulate(model, cfg, store_field=True)           # first-call imports
-    assert (traced_peak(lambda: kp.simulate(model, cfg, store_field=True))
-            <= outputs + 4 * _kernel.TILE * 16)
-
-
 def test_oracle_psd_memory_is_flat_in_duration():
     # numpy reports its buffers to tracemalloc: the streaming path holds
     # O(chunk) samples, simulate holds the whole trajectory
@@ -668,16 +640,16 @@ def test_each_chunk_lives_in_one_buffer():
 
 
 def test_conjugate_reconstruction_matches_two_variable_integration():
-    # the kernel stores only a; integrating the full conjugate pair
-    # explicitly must reproduce conj(a) to 1e-12
+    # the kernel integrates only a; integrating the full conjugate pair
+    # explicitly must reproduce its X to 1e-12, with the second variable
+    # the conjugate of the first
     model, _ = squeezing_model()
     n = 4000
     dt = 0.01
     rng = np.random.default_rng(5)
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (0.5 * math.sqrt(dt))
-    _, field, _ = _kernel.integrate_em(
-        complex(model.m11), complex(model.m12), model.kappa, dt, noise, 0j,
-        np.empty(n, complex))
+    x, _ = kernel_x(complex(model.m11), complex(model.m12), model.kappa, dt,
+                    noise, 0j)
 
     m = model.drift_matrix
     sq = math.sqrt(2.0 * model.kappa)
@@ -687,8 +659,11 @@ def test_conjugate_reconstruction_matches_two_variable_integration():
         pair[k] = v
         drive = np.array([noise[k], noise[k].conjugate()])
         v = v + dt * (m @ v) + sq * drive
-    assert np.allclose(pair[:, 0], field, rtol=0, atol=1e-12)
-    assert np.allclose(pair[:, 1], field.conjugate(), rtol=0, atol=1e-12)
+    b = sq * pair[:, 0] - noise / dt                    # from a
+    b_conj = sq * pair[:, 1] - noise.conjugate() / dt   # from conj(a)
+    two_variable = np.column_stack((b + b_conj, -1j * (b - b_conj)))
+    assert np.allclose(x, two_variable.real, rtol=0, atol=1e-12)
+    assert np.allclose(two_variable.imag, 0.0, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +681,7 @@ def test_psd_pure_sinusoid_peaks_at_its_frequency():
     t = np.arange(n) * dt
     x = np.sin(2.0 * math.pi * f0 * t)
     series = kp.QuadratureSeries(dt=dt, thetas=(0.0,),
-                                 quadratures=pair(x), field=None)
+                                 quadratures=pair(x))
     est = kp.psd_estimate(series, 1024, overlap=0.5)
     peak = int(np.argmax(est.psd[:, 0]))
     assert est.omega[peak] == pytest.approx(2.0 * math.pi * f0, rel=1e-12)
@@ -717,7 +692,7 @@ def test_psd_unit_white_noise_is_flat_one():
     rng = np.random.default_rng(123)
     x = rng.standard_normal(400000)
     series = kp.QuadratureSeries(dt=1.0, thetas=(0.0,),
-                                 quadratures=pair(x), field=None)
+                                 quadratures=pair(x))
     est = kp.psd_estimate(series, 1024, overlap=0.5)
     sel = slice(1, None)   # skip the DC bin (mean not removed)
     z = (est.psd[sel, 0] - 1.0) / est.stderr[sel, 0]
@@ -739,7 +714,7 @@ def test_psd_ornstein_uhlenbeck_matches_lorentzian():
         acc = rho * acc + q * w[k]
         x[k] = acc
     series = kp.QuadratureSeries(dt=dt, thetas=(0.0,),
-                                 quadratures=pair(x), field=None)
+                                 quadratures=pair(x))
     est = kp.psd_estimate(series, 4096, overlap=0.5)
     sel = (est.omega > 0.05) & (est.omega < 10.0)
     lorentz = sigma ** 2 / (g ** 2 + est.omega[sel] ** 2)
@@ -749,7 +724,7 @@ def test_psd_ornstein_uhlenbeck_matches_lorentzian():
 
 def test_psd_input_validation():
     series = kp.QuadratureSeries(dt=1.0, thetas=(0.0,),
-                                 quadratures=np.zeros((100, 2)), field=None)
+                                 quadratures=np.zeros((100, 2)))
     with pytest.raises(kp.ValidationError):
         kp.psd_estimate(series, 200)          # segment longer than series
     with pytest.raises(kp.ValidationError):
