@@ -70,6 +70,8 @@ class RunConfig:
     format: str = "csv"
 
 
+# most scan points a config may ask for; a scan at the cap still completes
+MAX_SCAN_POINTS = 1_000_000
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _KEY_ORDER = [f.name for f in fields(RunConfig)]
 
@@ -251,8 +253,9 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
             fail("power_uw", "the steady-state cubic is not finite")
         if not all(map(math.isfinite, coeffs)):
             fail(key, "the steady-state cubic is not finite")
-    if _scan_points(cfg) < 2:     # the cubic checks keep the span finite
-        fail("scan_step_mhz", "must leave at least 2 scan points")
+    # the cubic checks keep the span finite
+    if not 2 <= _scan_points(cfg) <= MAX_SCAN_POINTS:
+        fail("scan_step_mhz", f"must leave 2 to {MAX_SCAN_POINTS} scan points")
 
 
 def _scan_points(cfg: RunConfig) -> float:

@@ -29,10 +29,10 @@ The per-step recursion runs in ``_kernel``, a numpy block scan in tiles
 with O(tile) scratch that writes the pair over its (n, 2) noise buffer; its
 output does not depend on how the run is split into chunks of whole blocks.
 ``oracle_psd`` streams each chunk into the Welch sums, so its memory is
-O(chunk), not O(steps).  A chunk's noise is drawn into one buffer that the
-kernel then overwrites with X; one helper thread draws the next chunk and
-runs Welch on the previous one while the kernel runs.  Output depends on
-neither chunking nor thread.
+O(chunk), not O(steps); a default chunk is one kernel tile.  A chunk's noise
+is drawn into one buffer that the kernel then overwrites with X; one helper
+thread draws the next chunk and runs Welch on the previous one while the
+kernel runs.  Output depends on neither chunking nor thread.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import UnstableModelError, ValidationError
 from .spectra import FluctuationModel, NoiseSpectrum
 
 MAX_STEP_FRACTION = 0.1   # dt * |m11| above this is too coarse to trust
-DEFAULT_CHUNK = 1 << 19   # noise samples per kernel call, whole blocks
+DEFAULT_CHUNK = _kernel.TILE   # samples per kernel call: one tile, no tile loop
 # Welch transforms up to BATCH_SEGMENTS segments per FFT call, fewer when
 # they would exceed BATCH_SAMPLES samples, never fewer than one: few calls
 # per segment keep the helper thread's interpreter-lock handoffs with the
@@ -370,8 +370,8 @@ def oracle_psd(model: FluctuationModel, cfg: TrajectoryConfig,
     """``psd_estimate(simulate(model, cfg), ...)`` without the sample array.
 
     Chunks go from the kernel straight into the Welch sums, burn-in dropped,
-    through two alternating chunk buffers, so memory is O(chunk_size);
-    results and errors match the two-call path.
+    through two alternating chunk buffers, so memory is O(chunk_size): two
+    kernel tiles at the default.  Results and errors match the two-call path.
     """
     _check_trajectory(model, cfg, chunk_size)
     n_total = cfg.n_steps

@@ -60,8 +60,9 @@ def saturation(alpha_x: complex, params: PhysicalParams) -> float:
     """Saturation parameter s = 2 g^2 |alpha_x|^2 / delta^2 (dimensionless)."""
     if params.delta ** 2 == 0:   # also catches an underflowing square
         raise ValidationError("saturation undefined at zero detuning")
-    return (2.0 * params.g_coupling ** 2 * _square(abs(alpha_x))
-            / params.delta ** 2)
+    size = abs(alpha_x)
+    square = _square(size) if isinstance(size, np.ndarray) else size ** 2
+    return 2.0 * params.g_coupling ** 2 * square / params.delta ** 2
 
 
 def kerr_coefficient(params: PhysicalParams) -> float:
@@ -113,12 +114,11 @@ def linearized_drift(mode: str, kappa: float, delta_c: float, delta_0: float,
 def drift_margin(kappa: float, m11: complex, m12: complex) -> float:
     """Largest real part of the drift eigenvalues (rad/s), in closed form;
     elementwise, with the same bits, on arrays of entries."""
-    radicand = _square(abs(m12)) - _square(m11.imag)
-    if isinstance(radicand, np.ndarray):
+    if isinstance(m12, np.ndarray):
+        radicand = _square(abs(m12)) - _square(m11.imag)
         return -kappa + np.sqrt(np.maximum(radicand, 0.0))
-    if radicand <= 0.0:
-        return -kappa
-    return -kappa + math.sqrt(radicand)
+    radicand = abs(m12) ** 2 - m11.imag ** 2
+    return -kappa if radicand <= 0.0 else -kappa + math.sqrt(radicand)
 
 
 def cubic_coefficients(params: PhysicalParams, power: float, delta_c):

@@ -294,6 +294,33 @@ def test_scan_of_one_point_rejected_with_line_number(tmp_path, capsys):
     assert not (tmp_path / "scan.csv").exists()
 
 
+@pytest.mark.parametrize("step", ["1e-12", "1e-320"])
+def test_scan_step_too_fine_rejected_with_line_number(tmp_path, capsys,
+                                                      step):
+    # 1e-12 asks for petabytes of grid, 1e-320 for an infinite point count:
+    # validate and scan both name the step's line instead of a traceback
+    path = tmp_path / "run.cfg"
+    path.write_text(f"scan_step_mhz = {step}\n")
+    out = tmp_path / "out"
+    for command in ("validate", "scan"):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config line 1: scan_step_mhz:" in err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_scan_point_cap_is_inclusive(tmp_path, capsys):
+    span = cli.RunConfig.scan_stop_mhz - cli.RunConfig.scan_start_mhz
+    for points, code in ((cli.MAX_SCAN_POINTS, 0),
+                         (cli.MAX_SCAN_POINTS + 1, 1)):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"scan_step_mhz = {span / (points - 1)!r}\n")
+        assert cli.main(["validate", "--config", str(path)]) == code
+    assert "scan_step_mhz" in capsys.readouterr().err
+
+
 def test_stokes_tables_and_invariants(tmp_path):
     assert cli.main(["stokes", "--config", FIXTURE,
                      "--out", str(tmp_path)]) == 0

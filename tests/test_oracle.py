@@ -269,6 +269,29 @@ def test_default_chunk_boundary_is_seamless():
     assert np.array_equal(samples(default), samples(single))
 
 
+def test_default_path_calls_the_kernel_one_tile_at_a_time(monkeypatch):
+    # a default chunk is one kernel tile, so the kernel's tile loop never
+    # runs on the default path, and the chunking changes no bit
+    model, _ = squeezing_model()
+    n = 3 * DEFAULT_CHUNK + 5 * N + 123
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=6,
+                              burn_in=0.07, theta_list=(0.0, 0.9))
+    real, rows = _kernel.integrate_em, []
+
+    def counting(m11, m12, kappa, dt, pairs, a0):
+        rows.append(len(pairs))
+        return real(m11, m12, kappa, dt, pairs, a0)
+
+    monkeypatch.setattr(_kernel, "integrate_em", counting)
+    default = kp.oracle_psd(model, cfg, 3000, 0.3)
+    assert len(rows) == 4 and max(rows) <= _kernel.TILE
+    rows.clear()
+    single = kp.oracle_psd(model, cfg, 3000, 0.3,
+                           chunk_size=4 * DEFAULT_CHUNK)
+    assert rows == [cfg.n_steps]
+    assert_same_estimate(default, single)
+
+
 def stable_model(detuning, coupling, phase, dt):
     """y-mode model from a hypothesis draw; rejects unsound EM steps."""
     model = kp.FluctuationModel("y", m11=complex(-1.0, detuning),
