@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError, ValidationError
-from .oracle import TrajectoryConfig, compare, kernel_backend, oracle_psd
+from .oracle import (TrajectoryConfig, compare, kernel_backend, oracle_psd,
+                     welch_omega, welch_segments)
 from .params import DriveField, PhysicalParams, TWO_PI_MHZ
 from .spectra import (build_drift_x, build_drift_y, fold_angle,
                       min_max_spectrum, model_validity, noise_spectrum)
@@ -256,6 +257,18 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
     # the cubic checks keep the span finite
     if not 2 <= _scan_points(cfg) <= MAX_SCAN_POINTS:
         fail("scan_step_mhz", f"must leave 2 to {MAX_SCAN_POINTS} scan points")
+    # the oracle's Welch segments and compared band, before any run; the
+    # segment count keeps the bin grid no longer than the trajectory
+    traj = _trajectory(cfg)
+    try:
+        welch_segments(traj.n_steps - traj.n_burn, cfg.oracle_segment_length,
+                       cfg.oracle_overlap)
+    except (ValidationError, OverflowError) as exc:   # inf steps overflow
+        fail("oracle_duration", str(exc))
+    try:
+        _oracle_band(cfg, params)
+    except ValidationError as exc:
+        fail("oracle_segment_length", str(exc))
 
 
 def _scan_points(cfg: RunConfig) -> float:
@@ -282,6 +295,28 @@ def build_params(cfg: RunConfig) -> PhysicalParams:
 
 def build_drive(cfg: RunConfig) -> DriveField:
     return DriveField.from_power(cfg.power_uw * cfg.flux_per_uw)
+
+
+def _trajectory(cfg: RunConfig, theta_list=(0.0,)) -> TrajectoryConfig:
+    return TrajectoryConfig(dt=cfg.oracle_dt, duration=cfg.oracle_duration,
+                            seed=cfg.oracle_seed, burn_in=cfg.oracle_burn_in,
+                            theta_list=theta_list)
+
+
+def _oracle_band(cfg: RunConfig, params: PhysicalParams) -> np.ndarray:
+    """Indices of the oracle's Welch bins within 0.1 to 3 kappa, >= 10.
+
+    The Welch grid depends only on the segment length and dt, so the band
+    is checked before any step is integrated.
+    """
+    omega = welch_omega(cfg.oracle_segment_length, cfg.oracle_dt)
+    band = np.nonzero((omega >= 0.1 * params.kappa)
+                      & (omega <= 3.0 * params.kappa))[0]
+    if band.size < 10:
+        raise ValidationError(
+            "oracle PSD resolution too coarse for the comparison band; "
+            "decrease oracle_dt or increase oracle_segment_length")
+    return band
 
 
 def select_branch(cfg: RunConfig, params: PhysicalParams):
@@ -450,25 +485,14 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y",
         if not sim_model.is_stable:
             raise NumericalError("perturbed oracle model is unstable")
 
-    # the Welch grid depends only on the segment length and dt, so the
-    # compared bins are picked before any step is integrated
-    omega = 2.0 * math.pi * np.fft.rfftfreq(cfg.oracle_segment_length,
-                                            d=cfg.oracle_dt)
-    band = np.nonzero((omega >= 0.1 * params.kappa)
-                      & (omega <= 3.0 * params.kappa))[0]
-    if band.size < 10:
-        raise ValidationError(
-            "oracle PSD resolution too coarse for the comparison band; "
-            "decrease oracle_dt or increase oracle_segment_length")
+    band = _oracle_band(cfg, params)
     picks = np.unique(
         band[np.linspace(0, band.size - 1, 12).round().astype(int)])
 
     omega_ref = cfg.freqs_mhz[0] * TWO_PI_MHZ
     _, _, theta_min = min_max_spectrum(model, omega_ref)
     theta_list = (theta_min, fold_angle(theta_min + math.pi / 2.0))
-    traj = TrajectoryConfig(dt=cfg.oracle_dt, duration=cfg.oracle_duration,
-                            seed=cfg.oracle_seed, burn_in=cfg.oracle_burn_in,
-                            theta_list=theta_list)
+    traj = _trajectory(cfg, theta_list)
     estimate = oracle_psd(sim_model, traj, cfg.oracle_segment_length,
                           cfg.oracle_overlap, bins=picks)
     report = compare(noise_spectrum(model, estimate.omega, theta_list),

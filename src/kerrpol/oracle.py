@@ -25,14 +25,14 @@ is cos^2 |A|^2 + sin^2 |B|^2 + sin(2 theta) Re(A conj(B)), so one FFT per
 segment serves every angle and X_theta is never formed.  Asked for a few
 bins, Welch forms only those, one matrix product per batch of segments.
 
-The per-step recursion runs in ``_kernel``, a numpy block scan in tiles
-with O(tile) scratch that writes the pair over its (n, 2) noise buffer; its
+The per-step recursion runs in ``_kernel``, a numpy block scan that writes
+the pair over its (n, 2) noise buffer, one chunk of CHUNK steps per call; its
 output does not depend on how the run is split into chunks of whole blocks.
 ``oracle_psd`` streams each chunk into the Welch sums, so its memory is
-O(chunk), not O(steps); a default chunk is one kernel tile.  A chunk's noise
-is drawn into one buffer that the kernel then overwrites with X; one helper
-thread draws the next chunk and runs Welch on the previous one while the
-kernel runs.  Output depends on neither chunking nor thread.
+O(CHUNK), not O(steps).  A chunk's noise is drawn into one buffer that the
+kernel then overwrites with X; one helper thread draws the next chunk and
+runs Welch on the previous one while the kernel runs.  Output depends on
+neither chunking nor thread.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import UnstableModelError, ValidationError
 from .spectra import FluctuationModel, NoiseSpectrum
 
 MAX_STEP_FRACTION = 0.1   # dt * |m11| above this is too coarse to trust
-DEFAULT_CHUNK = _kernel.TILE   # samples per kernel call: one tile, no tile loop
+CHUNK = 1 << 17   # steps per kernel call, whole blocks; sets the scratch size
 # Welch transforms up to BATCH_SEGMENTS segments per FFT call, fewer when
 # they would exceed BATCH_SAMPLES samples, never fewer than one: few calls
 # per segment keep the helper thread's interpreter-lock handoffs with the
@@ -91,6 +91,10 @@ class TrajectoryConfig:
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
 
+    @property
+    def n_burn(self) -> int:
+        return int(self.burn_in * self.n_steps)
+
 
 @dataclass(frozen=True, eq=False)
 class QuadratureSeries:
@@ -106,8 +110,7 @@ class QuadratureSeries:
     quadratures: np.ndarray             # shape (n_kept, 2): X_0, X_pi/2
 
 
-def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig,
-                      chunk_size: int) -> None:
+def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig) -> None:
     """Raise unless the EM run of ``cfg`` on ``model`` is sound."""
     if not model.is_stable:
         raise UnstableModelError(
@@ -123,13 +126,10 @@ def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig,
     if radius >= 1.0:
         raise ValidationError(f"Euler-Maruyama step diverges: one-step map "
                               f"spectral radius {radius:.8g} >= 1; reduce dt")
-    if chunk_size <= 0 or chunk_size % _kernel.BLOCK:
-        raise ValidationError(
-            f"chunk_size must be a positive multiple of {_kernel.BLOCK}")
 
 
 def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
-               chunk_size: int, rows, sink) -> None:
+               rows, sink) -> None:
     """Run the checked EM trajectory of ``cfg`` chunk by chunk, in order.
 
     Chunk k lives in one buffer, ``rows(k, done, m)`` of shape (m, 2): its
@@ -151,8 +151,8 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
         buf *= sigma
         return buf
 
-    spans = [(done, min(chunk_size, n_total - done))
-             for done in range(0, n_total, chunk_size)]
+    spans = [(done, min(CHUNK, n_total - done))
+             for done in range(0, n_total, CHUNK)]
     a = 0j
     with ThreadPoolExecutor(max_workers=1) as pool:
         noise = pool.submit(draw, rows(0, *spans[0]))
@@ -171,20 +171,18 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
             future.result()
 
 
-def simulate(model: FluctuationModel, cfg: TrajectoryConfig,
-             chunk_size: int = DEFAULT_CHUNK) -> QuadratureSeries:
+def simulate(model: FluctuationModel,
+             cfg: TrajectoryConfig) -> QuadratureSeries:
     """Integrate the linear fluctuation dynamics on ``default_rng(seed)``.
 
     Each chunk's noise is drawn into its rows of the output and the kernel
-    writes X over it; any ``chunk_size`` of whole blocks gives the same bits.
+    writes X over it.
     """
-    _check_trajectory(model, cfg, chunk_size)
+    _check_trajectory(model, cfg)
     x_out = np.empty((cfg.n_steps, 2))
-    n_burn = int(cfg.burn_in * cfg.n_steps)
-    _integrate(model, cfg, chunk_size,
-               lambda k, done, m: x_out[done:done + m],
+    _integrate(model, cfg, lambda k, done, m: x_out[done:done + m],
                lambda done, x: None)
-    return QuadratureSeries(dt=cfg.dt, quadratures=x_out[n_burn:],
+    return QuadratureSeries(dt=cfg.dt, quadratures=x_out[cfg.n_burn:],
                             thetas=tuple(float(t) for t in cfg.theta_list))
 
 
@@ -231,14 +229,10 @@ class _Welch:
             raise ValidationError("segment_length exceeds series length")
         if not 0.0 <= overlap <= 0.9:
             raise ValidationError("overlap must lie in [0, 0.9]")
-        self.hop = max(1, int(round(length * (1.0 - overlap))))
-        self.n_seg = len(range(0, n - length + 1, self.hop))
-        if self.n_seg < 4:
-            raise ValidationError(
-                f"need at least 4 segments for error bars, got {self.n_seg}")
+        self.hop, self.n_seg = welch_segments(n, length, overlap)
         self.length = length
         self.thetas = np.asarray(thetas, dtype=float)
-        self.omega = 2.0 * math.pi * np.fft.rfftfreq(length, d=dt)
+        self.omega = welch_omega(length, dt)
         self.basis = None
         if bins is not None:
             picked = np.asarray(bins)
@@ -331,6 +325,27 @@ class _Welch:
         return self.omega, mean, np.sqrt(var / n_seg), n_seg
 
 
+def welch_omega(segment_length: int, dt: float) -> np.ndarray:
+    """Welch bin frequencies in rad/s: 2 pi ``rfftfreq(segment_length, dt)``.
+
+    Formed as numpy forms them, without importing ``numpy.fft``, so the
+    config check of the oracle's band does not pay for that import.
+    """
+    return 2.0 * math.pi * (np.arange(segment_length // 2 + 1)
+                            * (1.0 / (segment_length * dt)))
+
+
+def welch_segments(n: int, segment_length: int,
+                   overlap: float) -> tuple[int, int]:
+    """Hop and count of the Welch segments of ``n`` samples; at least 4."""
+    hop = max(1, int(round(segment_length * (1.0 - overlap))))
+    n_seg = max(0, (n - segment_length) // hop + 1)
+    if n_seg < 4:
+        raise ValidationError(
+            f"need at least 4 segments for error bars, got {n_seg}")
+    return hop, n_seg
+
+
 def welch_psd(quadratures: np.ndarray, thetas, dt: float, segment_length: int,
               overlap: float = 0.5,
               bins=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -366,22 +381,20 @@ def psd_estimate(series: QuadratureSeries, segment_length: int,
 
 def oracle_psd(model: FluctuationModel, cfg: TrajectoryConfig,
                segment_length: int, overlap: float = 0.5,
-               chunk_size: int = DEFAULT_CHUNK, bins=None) -> PsdEstimate:
+               bins=None) -> PsdEstimate:
     """``psd_estimate(simulate(model, cfg), ...)`` without the sample array.
 
     Chunks go from the kernel straight into the Welch sums, burn-in dropped,
-    through two alternating chunk buffers, so memory is O(chunk_size): two
-    kernel tiles at the default.  Results and errors match the two-call path.
+    through two alternating chunk buffers, so memory is O(CHUNK) whatever
+    the duration.  Results and errors match the two-call path.
     """
-    _check_trajectory(model, cfg, chunk_size)
-    n_total = cfg.n_steps
-    n_burn = int(cfg.burn_in * n_total)
+    _check_trajectory(model, cfg)
+    n_total, n_burn = cfg.n_steps, cfg.n_burn
     welch = _Welch(n_total - n_burn, cfg.theta_list, cfg.dt, segment_length,
                    overlap, bins)
-    buffers = [np.empty((min(chunk_size, n_total), 2))
-               for _ in range(min(2, -(-n_total // chunk_size)))]
-    _integrate(model, cfg, chunk_size,
-               lambda k, done, m: buffers[k % len(buffers)][:m],
+    buffers = [np.empty((min(CHUNK, n_total), 2))
+               for _ in range(min(2, -(-n_total // CHUNK)))]
+    _integrate(model, cfg, lambda k, done, m: buffers[k % len(buffers)][:m],
                lambda done, x: welch.feed(x[max(0, n_burn - done):]))
     return PsdEstimate(*welch.result(),
                        thetas=tuple(float(t) for t in cfg.theta_list))

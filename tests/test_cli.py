@@ -127,9 +127,15 @@ def run_configs(draw):
     perp, par = draw(finite(0.0, 1e3)), draw(finite(0.0, 1e3))
     scan_start = draw(finite(-1e3, 1e3))
     theta_start = draw(finite(-360.0, 360.0))
-    dt = draw(finite(1e-12, 1e-6))
+    kappa_mhz = draw(finite(1e-3, 1e3))
+    # the oracle needs >= 10 Welch bins within 0.1-3 kappa, so a segment
+    # spans 25-1000 cycles of 1/kappa, and >= 4 segments after burn-in
+    cycles = draw(finite(25.0, 1000.0))
+    dt_kappa = draw(finite(cycles / (1 << 20), 0.5))
+    dt = dt_kappa / (kappa_mhz * cli.TWO_PI_MHZ)
+    segment_length = math.ceil(cycles / dt_kappa)
     return cli.RunConfig(
-        kappa_mhz=draw(finite(1e-3, 1e3)),
+        kappa_mhz=kappa_mhz,
         gamma_perp_mhz=perp, gamma_par_mhz=par, gamma_mhz=perp + par,
         delta_mhz=draw(finite(-1e4, 1e4).filter(lambda d: d != 0.0)),
         transmission=draw(finite(0.0, 1.0, exclude_min=True)),
@@ -149,10 +155,11 @@ def run_configs(draw):
         theta_stop_deg=theta_start + draw(finite(1.0, 720.0)),
         theta_points=draw(st.integers(2, 10000)),
         oracle_dt=dt,
-        oracle_duration=dt * draw(finite(1000.0, 1e7)),
+        oracle_duration=dt * draw(finite(max(1000.0, 10.0 * segment_length),
+                                         2e7)),
         oracle_seed=draw(st.integers(0, 2 ** 32 - 1)),
         oracle_burn_in=draw(finite(0.0, 0.5)),
-        oracle_segment_length=draw(st.integers(16, 1 << 20)),
+        oracle_segment_length=segment_length,
         oracle_overlap=draw(finite(0.0, 0.9)),
         oracle_perturb_sx=draw(finite(-1.0, 10.0, exclude_min=True)),
         out_dir=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
@@ -321,6 +328,66 @@ def test_scan_point_cap_is_inclusive(tmp_path, capsys):
     assert "scan_step_mhz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("kappa_mhz", "0"), ("delta_mhz", "0"), ("eta_det", "1.5"),
+    ("n_atoms", "-1"), ("power_uw", "-1"), ("flux_per_uw", "0"),
+    ("branch", "middle"), ("scan_step_mhz", "0"), ("scan_stop_mhz", "-400"),
+    ("freqs_mhz", "3.0, -6.0"), ("theta_points", "1"),
+    ("theta_stop_deg", "-180"), ("oracle_dt", "0"), ("oracle_burn_in", "0.6"),
+    ("oracle_segment_length", "8"), ("oracle_overlap", "0.95"),
+    ("format", "xml")])
+def test_each_config_rule_names_its_key_and_line(tmp_path, capsys, key,
+                                                 value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert f"config line 1: {key}:" in capsys.readouterr().err
+
+
+def test_empty_frequency_list_rejected_with_line_number(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("freqs_mhz = , \n")
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert ("config line 1: bad value for 'freqs_mhz': expected at least "
+            "one frequency") in capsys.readouterr().err
+
+
+def test_validate_prints_model_validity_warnings(capsys):
+    # at |delta| < 10 gamma the dispersive expansion is flagged, not refused
+    assert cli.main(["validate"]) == 0
+    assert "warning:" not in capsys.readouterr().out
+    assert cli.cmd_validate(replace(cli.RunConfig(), delta_mhz=-20.0)) == 0
+    assert "warning: model-validity" in capsys.readouterr().out
+
+
+def test_numeric_branch_selects_that_root():
+    # the shipped drive has three roots from about -107 to +115 MHz
+    cfg = replace(cli.RunConfig(), delta_c_mhz=0.0, branch="1")
+    params = cli.build_params(cfg)
+    roots = kp.steady_states(params, cli.build_drive(cfg), 0.0)
+    assert [b.branch_index for b in roots] == [0, 1, 2]
+    assert cli.select_branch(cfg, params).branch_index == 1
+
+
+def test_missing_numeric_branch_exits_2(tmp_path, capsys):
+    # the shipped operating point has a single root
+    path = write_config(tmp_path, "branch = 2")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", path, "--out", str(out)]) == 2
+    assert "branch 2 requested" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_template_command_prints_the_template_with_overrides(capsys):
+    assert cli.main(["template"]) == 0
+    assert capsys.readouterr().out == cli.config_template()
+    assert cli.main(["template", "--seed", "5"]) == 0
+    text = capsys.readouterr().out
+    assert "oracle_seed = 5" in text.splitlines()
+    assert text == cli.config_template(replace(cli.RunConfig(),
+                                               oracle_seed=5))
+
+
 def test_stokes_tables_and_invariants(tmp_path):
     assert cli.main(["stokes", "--config", FIXTURE,
                      "--out", str(tmp_path)]) == 0
@@ -413,6 +480,29 @@ def test_oracle_coarse_resolution_exits_1_before_integrating(
     assert code == 1
     assert "resolution too coarse" in capsys.readouterr().err
     assert not (tmp_path / "oracle_report.json").exists()
+
+
+@pytest.mark.parametrize("line, key, message", [
+    ("oracle_segment_length = 1024", "oracle_segment_length",
+     "oracle PSD resolution too coarse for the comparison band"),
+    ("oracle_duration = 1e-6", "oracle_duration",
+     "need at least 4 segments for error bars, got 1"),
+    ("oracle_duration = 1e300\noracle_dt = 1e-300", "oracle_duration",
+     "cannot convert float infinity to integer")])       # inf steps
+def test_every_command_rejects_an_oracle_run_that_cannot_work(
+        tmp_path, capsys, line, key, message):
+    # validate and scan used to accept what oracle refused
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    out = tmp_path / "out"
+    for command in ("validate", "scan", "oracle"):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config line 1: {key}: {message}")
+        assert "Traceback" not in err
+    assert not out.exists()
+    assert cli.main(["validate", "--config", FIXTURE]) == 0
 
 
 def test_oracle_zero_duration_config_exits_1(tmp_path, capsys):

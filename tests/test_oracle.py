@@ -5,14 +5,14 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import kerrpol as kp
-from kerrpol import _kernel
-from kerrpol.oracle import DEFAULT_CHUNK
+from kerrpol import _kernel, oracle
 
 import em_reference
 import welch_reference
@@ -20,6 +20,15 @@ from conftest import make_params, steady_at
 
 L = _kernel.BLOCK
 N = 1024      # base run length in steps, independent of the kernel's block
+
+
+def chunked(chunk, call):
+    """``call()`` with the oracle streaming chunks of ``chunk`` steps.
+
+    A patch rather than the monkeypatch fixture, which hypothesis rejects.
+    """
+    with mock.patch.object(oracle, "CHUNK", chunk):
+        return call()
 
 
 def empty_resonant_model():
@@ -82,14 +91,6 @@ def test_simulate_rejects_diverging_em_step():
     cfg = kp.TrajectoryConfig(dt=0.001, duration=10.0, seed=1)
     with pytest.raises(kp.ValidationError, match="spectral radius"):
         kp.simulate(model, cfg)
-
-
-def test_simulate_rejects_chunk_size_off_the_block_grid():
-    model, _ = squeezing_model()
-    cfg = kp.TrajectoryConfig(dt=0.01, duration=30.0, seed=1)
-    for chunk_size in (L + 1, L // 2, 0):
-        with pytest.raises(kp.ValidationError, match="chunk_size"):
-            kp.simulate(model, cfg, chunk_size=chunk_size)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +167,10 @@ def test_simulate_matches_reference_loop():
 
 
 def test_kernel_matches_reference_loop():
-    # the last block is partial and the start state is off zero, in a run
-    # within one tile, an empty run and a run across a tile boundary
+    # the last block is partial and the start state is off zero, in a short
+    # run, an empty run and a run longer than one chunk
     m11, m12, kappa, dt = -1.0 - 1.31j, 0.58j, 1.0, 0.005
-    for n in (3 * N + 517, 0, _kernel.TILE + 3 * L + 17):
+    for n in (3 * N + 517, 0, oracle.CHUNK + 3 * L + 17):
         rng = np.random.default_rng(21)
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
             0.5 * math.sqrt(dt))
@@ -186,7 +187,7 @@ def test_kernel_output_may_overwrite_its_noise():
     # a call writes only its own rows, so whole-block calls over slices of
     # one buffer, chained through a_final, give the whole call bit for bit
     args = m11, m12, kappa, dt = -1.0 - 1.31j, 0.58j, 1.0, 0.005
-    for n in (0, 63, 3589, _kernel.TILE + 3 * 64 + 17):
+    for n in (0, 63, 3589, oracle.CHUNK + 3 * 64 + 17):
         rng = np.random.default_rng(n)
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
             0.5 * math.sqrt(dt))
@@ -194,8 +195,8 @@ def test_kernel_output_may_overwrite_its_noise():
         assert x.shape == (n, 2)
         pieces = np.column_stack((noise.real, noise.imag))
         got_a = 0.3 - 0.7j
-        for lo, hi in ((0, L), (L, 5 * L), (5 * L, _kernel.TILE + L),
-                       (_kernel.TILE + L, n)):
+        for lo, hi in ((0, L), (L, 5 * L), (5 * L, oracle.CHUNK + L),
+                       (oracle.CHUNK + L, n)):
             got_a = _kernel.integrate_em(*args, pieces[lo:hi], got_a)
         assert np.array_equal(pieces, x)
         assert got_a == a
@@ -203,17 +204,16 @@ def test_kernel_output_may_overwrite_its_noise():
 
 def test_kernel_scratch_memory_is_set_by_the_tile():
     # numpy reports its buffers to tracemalloc: a call writes over its
-    # noise and allocates no output, so over several tiles it holds a few
-    # tile-sized buffers
-    n = 4 * _kernel.TILE + 3 * L + 17
-    pairs = np.full((n, 2), (0.01, -0.02))
+    # noise and allocates no output, so a call of one oracle chunk holds a
+    # few scratch buffers of about its noise's size
+    pairs = np.full((oracle.CHUNK, 2), (0.01, -0.02))
     tracemalloc.start()
     try:
         _kernel.integrate_em(-1.0 - 1.31j, 0.58j, 1.0, 0.005, pairs, 0.3j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * _kernel.TILE * 16
+    assert peak <= 4 * oracle.CHUNK * 16
 
 
 def test_samples_equal_the_kernel_projection_bit_for_bit():
@@ -234,8 +234,8 @@ def test_samples_equal_the_kernel_projection_bit_for_bit():
 def test_chunked_integration_is_seamless():
     model, _ = squeezing_model()
     cfg = kp.TrajectoryConfig(dt=0.01, duration=300.0, seed=3)
-    whole = kp.simulate(model, cfg, chunk_size=1 << 22)
-    pieces = kp.simulate(model, cfg, chunk_size=1024)
+    whole = chunked(1 << 22, lambda: kp.simulate(model, cfg))
+    pieces = chunked(1024, lambda: kp.simulate(model, cfg))
     assert np.array_equal(samples(whole), samples(pieces))
 
 
@@ -253,27 +253,27 @@ def test_chunk_size_never_changes_samples(detuning, coupling, phase, dt, n):
            and np.max(np.abs(np.linalg.eigvals(step_map))) < 1.0)
     cfg = kp.TrajectoryConfig(dt=dt, duration=n * dt, seed=n,
                               theta_list=(0.0, 1.0))
-    chunks = (L, 3 * N, DEFAULT_CHUNK, (cfg.n_steps // L + 1) * L)
-    runs = [kp.simulate(model, cfg, chunk_size=c) for c in chunks]
+    chunks = (L, 3 * N, oracle.CHUNK, (cfg.n_steps // L + 1) * L)
+    runs = [chunked(c, lambda: kp.simulate(model, cfg)) for c in chunks]
     for run in runs[1:]:
         assert np.array_equal(samples(run), samples(runs[0]))
 
 
 def test_default_chunk_boundary_is_seamless():
     model, _ = squeezing_model()
-    n = DEFAULT_CHUNK + 5 * N + 123
+    n = oracle.CHUNK + 5 * N + 123
     cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=4)
-    assert cfg.n_steps > DEFAULT_CHUNK
+    assert cfg.n_steps > oracle.CHUNK
     default = kp.simulate(model, cfg)
-    single = kp.simulate(model, cfg, chunk_size=4 * DEFAULT_CHUNK)
+    single = chunked(4 * oracle.CHUNK, lambda: kp.simulate(model, cfg))
     assert np.array_equal(samples(default), samples(single))
 
 
 def test_default_path_calls_the_kernel_one_tile_at_a_time(monkeypatch):
-    # a default chunk is one kernel tile, so the kernel's tile loop never
-    # runs on the default path, and the chunking changes no bit
+    # the oracle calls the kernel once per chunk of CHUNK steps, and the
+    # chunking changes no bit
     model, _ = squeezing_model()
-    n = 3 * DEFAULT_CHUNK + 5 * N + 123
+    n = 3 * oracle.CHUNK + 5 * N + 123
     cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=6,
                               burn_in=0.07, theta_list=(0.0, 0.9))
     real, rows = _kernel.integrate_em, []
@@ -284,10 +284,10 @@ def test_default_path_calls_the_kernel_one_tile_at_a_time(monkeypatch):
 
     monkeypatch.setattr(_kernel, "integrate_em", counting)
     default = kp.oracle_psd(model, cfg, 3000, 0.3)
-    assert len(rows) == 4 and max(rows) <= _kernel.TILE
+    assert len(rows) == 4 and max(rows) == oracle.CHUNK
     rows.clear()
-    single = kp.oracle_psd(model, cfg, 3000, 0.3,
-                           chunk_size=4 * DEFAULT_CHUNK)
+    single = chunked(4 * oracle.CHUNK,
+                     lambda: kp.oracle_psd(model, cfg, 3000, 0.3))
     assert rows == [cfg.n_steps]
     assert_same_estimate(default, single)
 
@@ -315,11 +315,11 @@ def assert_same_estimate(actual, expected):
 @given(detuning=st.floats(-6.0, 6.0), coupling=st.floats(0.0, 1.2),
        phase=st.floats(0.0, 2.0 * math.pi), dt=st.floats(0.001, 0.05),
        n=st.integers(4 * N, 12 * N), burn_in=st.floats(0.0, 0.5),
-       chunk_size=st.sampled_from([N, 3 * N, DEFAULT_CHUNK]),
+       chunk=st.sampled_from([N, 3 * N, oracle.CHUNK]),
        segment_length=st.integers(16, 3 * N),
        overlap=st.floats(0.0, 0.9))
 def test_oracle_psd_equals_the_two_call_path(detuning, coupling, phase, dt,
-                                             n, burn_in, chunk_size,
+                                             n, burn_in, chunk,
                                              segment_length, overlap):
     # burn-in off the block grid and segments that straddle, or outgrow,
     # the chunk boundaries must not change a single bit
@@ -331,14 +331,14 @@ def test_oracle_psd_equals_the_two_call_path(detuning, coupling, phase, dt,
     assume(n_kept - segment_length >= 3 * hop)        # >= 4 segments
     expected = kp.psd_estimate(kp.simulate(model, cfg), segment_length,
                                overlap)
-    actual = kp.oracle_psd(model, cfg, segment_length, overlap,
-                           chunk_size=chunk_size)
+    actual = chunked(chunk, lambda: kp.oracle_psd(model, cfg, segment_length,
+                                                  overlap))
     assert_same_estimate(actual, expected)
 
 
 def test_oracle_psd_default_chunking_equals_the_two_call_path():
     model, _ = squeezing_model()
-    n = 2 * DEFAULT_CHUNK + 3 * N + 77
+    n = 2 * oracle.CHUNK + 3 * N + 77
     cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=8,
                               burn_in=0.013, theta_list=(0.2, 1.7))
     expected = kp.psd_estimate(kp.simulate(model, cfg), 3000, 0.3)
@@ -360,34 +360,34 @@ def drawn_run(n, burn_in, segment_length, overlap, thetas):
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(4 * N, 12 * N), burn_in=st.floats(0.0, 0.5),
-       chunk_size=st.sampled_from([N, 3 * N, DEFAULT_CHUNK]),
+       chunk=st.sampled_from([N, 3 * N, oracle.CHUNK]),
        segment_length=st.integers(2, 3 * N), overlap=st.floats(0.0, 0.9),
        thetas=angle_lists)
 def test_oracle_psd_equals_the_two_call_path_for_any_angle_count(
-        n, burn_in, chunk_size, segment_length, overlap, thetas):
+        n, burn_in, chunk, segment_length, overlap, thetas):
     model, cfg = drawn_run(n, burn_in, segment_length, overlap, thetas)
     expected = kp.psd_estimate(kp.simulate(model, cfg), segment_length,
                                overlap)
-    actual = kp.oracle_psd(model, cfg, segment_length, overlap,
-                           chunk_size=chunk_size)
+    actual = chunked(chunk, lambda: kp.oracle_psd(model, cfg, segment_length,
+                                                  overlap))
     assert_same_estimate(actual, expected)
     assert expected.psd.shape == (segment_length // 2 + 1, len(thetas))
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(4 * N, 12 * N),
-       chunk_size=st.sampled_from([N, 3 * N, DEFAULT_CHUNK]),
+       chunk=st.sampled_from([N, 3 * N, oracle.CHUNK]),
        segment_length=st.integers(16, 3 * N), overlap=st.floats(0.0, 0.9),
        thetas=angle_lists)
 def test_welch_matches_the_direct_per_angle_reference(
-        n, chunk_size, segment_length, overlap, thetas):
+        n, chunk, segment_length, overlap, thetas):
     # one FFT of each angle's samples per segment, mean and scatter in two
     # passes.  psd agrees elementwise.  An error bar whose segments nearly
     # coincide is ill conditioned in any one-pass scatter, so stderr is
     # scored on the scale of its angle's column.
     model, cfg = drawn_run(n, 0.05, segment_length, overlap, thetas)
-    estimate = kp.oracle_psd(model, cfg, segment_length, overlap,
-                             chunk_size=chunk_size)
+    estimate = chunked(chunk, lambda: kp.oracle_psd(
+        model, cfg, segment_length, overlap))
     omega, psd, stderr, n_segments = welch_reference.welch_psd(
         samples(kp.simulate(model, cfg)), cfg.dt, segment_length, overlap)
     assert np.array_equal(estimate.omega, omega)
@@ -412,7 +412,7 @@ def test_welch_fft_calls_do_not_grow_with_the_angle_count(monkeypatch):
         cfg = kp.TrajectoryConfig(dt=0.01, duration=8 * N * 0.01, seed=6,
                                   theta_list=thetas)
         del calls[:]
-        kp.oracle_psd(model, cfg, 512, chunk_size=N)
+        chunked(N, lambda: kp.oracle_psd(model, cfg, 512))
         kp.psd_estimate(kp.simulate(model, cfg), 512)
         counts.append(len(calls))
         sizes.append(sum(calls))
@@ -422,11 +422,11 @@ def test_welch_fft_calls_do_not_grow_with_the_angle_count(monkeypatch):
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(4 * N, 12 * N), burn_in=st.floats(0.0, 0.5),
-       chunk_size=st.sampled_from([N, 3 * N, DEFAULT_CHUNK]),
+       chunk=st.sampled_from([N, 3 * N, oracle.CHUNK]),
        segment_length=st.integers(2, 3 * N), overlap=st.floats(0.0, 0.9),
        thetas=angle_lists, data=st.data())
 def test_picked_bins_equal_the_full_estimate_rows(
-        n, burn_in, chunk_size, segment_length, overlap, thetas, data):
+        n, burn_in, chunk, segment_length, overlap, thetas, data):
     model, cfg = drawn_run(n, burn_in, segment_length, overlap, thetas)
     bins = sorted(data.draw(st.lists(st.integers(0, segment_length // 2),
                                      min_size=1, max_size=24, unique=True)))
@@ -443,8 +443,8 @@ def test_picked_bins_equal_the_full_estimate_rows(
     for name in ("psd", "stderr"):
         want = getattr(full, name)[bins]
         assert np.all(np.abs(getattr(picked, name) - want) <= 1e-12 * want)
-    assert_same_estimate(kp.oracle_psd(model, cfg, segment_length, overlap,
-                                       chunk_size, bins), picked)
+    assert_same_estimate(chunked(chunk, lambda: kp.oracle_psd(
+        model, cfg, segment_length, overlap, bins)), picked)
 
 
 def test_picked_bins_make_no_fft_and_ignore_the_chunking(monkeypatch):
@@ -453,14 +453,14 @@ def test_picked_bins_make_no_fft_and_ignore_the_chunking(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", full_fft)
     model, _ = squeezing_model()
-    n = 2 * DEFAULT_CHUNK + 3 * N + 77
+    n = 2 * oracle.CHUNK + 3 * N + 77
     cfg = kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=8,
                               burn_in=0.013, theta_list=(0.2, 1.7))
     bins = np.arange(1, 13)
     expected = kp.psd_estimate(kp.simulate(model, cfg), 3000, 0.3, bins)
-    for chunk_size in (3 * N, DEFAULT_CHUNK):
-        assert_same_estimate(
-            kp.oracle_psd(model, cfg, 3000, 0.3, chunk_size, bins), expected)
+    for chunk in (3 * N, oracle.CHUNK):
+        assert_same_estimate(chunked(chunk, lambda: kp.oracle_psd(
+            model, cfg, 3000, 0.3, bins)), expected)
 
 
 def test_picked_bins_do_not_depend_on_the_blas_thread_count():
@@ -468,11 +468,11 @@ def test_picked_bins_do_not_depend_on_the_blas_thread_count():
     # which BLAS may split across threads
     script = (
         "import hashlib, numpy as np, kerrpol as kp\n"
+        "kp.oracle.CHUNK = 1 << 14\n"
         "m = kp.FluctuationModel('y', m11=-1.0 + 1.9j, m12=0.6j, kappa=1.0)\n"
         "cfg = kp.TrajectoryConfig(dt=0.01, duration=600.0, seed=7,\n"
         "                          theta_list=(0.0, 1.1))\n"
-        "e = kp.oracle_psd(m, cfg, 4096, 0.5, 1 << 14,\n"
-        "                  bins=np.arange(1, 200, 3))\n"
+        "e = kp.oracle_psd(m, cfg, 4096, 0.5, bins=np.arange(1, 200, 3))\n"
         "print(hashlib.sha256(e.psd.tobytes() + e.stderr.tobytes())"
         ".hexdigest())\n")
     src = str(pathlib.Path(kp.__file__).resolve().parent.parent)
@@ -542,7 +542,6 @@ def test_oracle_psd_raises_what_the_two_call_path_raises():
          {}, (256,)),                                 # diverging step
         (model, kp.TrajectoryConfig(dt=0.2, duration=400.0, seed=1),
          {}, (256,)),                                 # coarse step
-        (model, short, {"chunk_size": L + 1}, (256,)),
         (model, short, {}, (4096,)),                  # segment > n
         (model, short, {}, (256, 0.95)),              # overlap out of range
         (model, short, {}, (800, 0.0)),               # only 2 segments
@@ -557,13 +556,12 @@ def test_oracle_psd_raises_what_the_two_call_path_raises():
     kinds = []
     for sim_model, cfg, kwargs, welch_args in cases:
         expected = raised_by(lambda: kp.psd_estimate(
-            kp.simulate(sim_model, cfg,
-                        chunk_size=kwargs.get("chunk_size", DEFAULT_CHUNK)),
-            *welch_args, bins=kwargs.get("bins")))
+            kp.simulate(sim_model, cfg), *welch_args,
+            bins=kwargs.get("bins")))
         assert raised_by(lambda: kp.oracle_psd(
             sim_model, cfg, *welch_args, **kwargs)) == expected
         kinds.append(expected[0])
-    assert kinds == ([kp.UnstableModelError] + [kp.ValidationError] * 6
+    assert kinds == ([kp.UnstableModelError] + [kp.ValidationError] * 5
                      + [kp.UnstableModelError] + [kp.ValidationError] * 5)
 
 
@@ -582,7 +580,7 @@ def test_kernel_failure_reaches_the_caller_and_stops_the_helper(monkeypatch):
     baseline = threading.active_count()
     monkeypatch.setattr(_kernel, "integrate_em", failing)
     with pytest.raises(FloatingPointError, match="mid-run"):
-        kp.oracle_psd(model, cfg, 512, chunk_size=N)
+        chunked(N, lambda: kp.oracle_psd(model, cfg, 512))
     assert len(calls) == 3
     assert threading.active_count() == baseline
 
@@ -599,17 +597,18 @@ def test_concurrent_oracle_psd_calls_stay_bit_identical():
     results = [None] * len(cfgs)
 
     def run(i):
-        results[i] = kp.oracle_psd(model, cfgs[i], 700, 0.4, chunk_size=N)
+        results[i] = kp.oracle_psd(model, cfgs[i], 700, 0.4)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(len(cfgs))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        with mock.patch.object(oracle, "CHUNK", N):
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(cfgs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
@@ -634,12 +633,12 @@ def test_oracle_psd_memory_is_flat_in_duration():
     short, long = (kp.TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=3,
                                        theta_list=thetas)
                    for n in (4 * chunk, 16 * chunk))
-    kp.oracle_psd(model, short, 1024, chunk_size=chunk)   # first-call imports
-    stream = [traced_peak(lambda: kp.oracle_psd(model, c, 1024,
-                                                chunk_size=chunk))
-              for c in (short, long)]
-    whole = [traced_peak(lambda: kp.simulate(model, c, chunk_size=chunk))
-             for c in (short, long)]
+    with mock.patch.object(oracle, "CHUNK", chunk):
+        kp.oracle_psd(model, short, 1024)               # first-call imports
+        stream = [traced_peak(lambda: kp.oracle_psd(model, c, 1024))
+                  for c in (short, long)]
+        whole = [traced_peak(lambda: kp.simulate(model, c))
+                 for c in (short, long)]
     assert stream[1] <= 1.2 * stream[0]
     extra_samples = (long.n_steps - short.n_steps) * 2 * 8   # (X_0, X_pi/2)
     assert whole[1] - whole[0] >= 0.95 * extra_samples
@@ -648,12 +647,12 @@ def test_oracle_psd_memory_is_flat_in_duration():
 def test_each_chunk_lives_in_one_buffer():
     # a chunk's noise is drawn into the buffer the kernel writes X over:
     # oracle_psd holds two chunk buffers and simulate none besides its
-    # output, each plus the kernel's and Welch's O(tile) scratch
+    # output, each plus the kernel's and Welch's O(chunk) scratch
     model, _ = squeezing_model()
-    chunk = DEFAULT_CHUNK
+    chunk = oracle.CHUNK
     cfg = kp.TrajectoryConfig(dt=0.01, duration=(3 * chunk + 1000) * 0.01,
                               seed=3)
-    scratch = 4 * _kernel.TILE * 16
+    scratch = 4 * chunk * 16
     for bins in (None, [1, 2, 5]):
         call = lambda: kp.oracle_psd(model, cfg, 4096, bins=bins)
         call()                                          # first-call imports

@@ -5,6 +5,7 @@ import sys
 import types
 
 import kerrpol
+from kerrpol import _kernel, oracle
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kerrpol"
 
@@ -67,3 +68,10 @@ def test_all_lists_every_public_export():
                     and not isinstance(value, types.ModuleType))
     assert len(kerrpol.__all__) == len(set(kerrpol.__all__))
     assert sorted(kerrpol.__all__) == public
+
+
+def test_oracle_chunk_is_whole_kernel_blocks():
+    # kernel blocks start at each call's first step, so a chunk of whole
+    # blocks keeps every block, and every output bit, of an unchunked run
+    assert isinstance(oracle.CHUNK, int)
+    assert oracle.CHUNK > 0 and oracle.CHUNK % _kernel.BLOCK == 0
