@@ -486,8 +486,8 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y",
             raise NumericalError("perturbed oracle model is unstable")
 
     band = _oracle_band(cfg, params)
-    picks = np.unique(
-        band[np.linspace(0, band.size - 1, 12).round().astype(int)])
+    picks = band[np.linspace(0, band.size - 1, 12).round().astype(int)]
+    picks = picks[np.diff(picks, prepend=-1) > 0]    # sorted: drop repeats
 
     omega_ref = cfg.freqs_mhz[0] * TWO_PI_MHZ
     _, _, theta_min = min_max_spectrum(model, omega_ref)

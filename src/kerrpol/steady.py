@@ -21,16 +21,15 @@ Each mode's linearized drift (see :mod:`kerrpol.spectra`) has eigenvalues
 ``mean_field_stable``; the orthogonal mode's is ``y_mode_margin``, < 0 if stable.
 
 The cubic is solved for a whole grid of detunings at once: one companion
-matrix per detuning, all in one ``eigvals`` call, giving the roots of
-``np.roots`` bit for bit; ``cavity_scan`` solves its grid this way and
-``steady_states`` is the same solve on a grid of one.  The scan stays
-columnar after it: the same formulas on arrays, squared by C ``pow`` as for
-floats, give every branch's margins with the bits of ``steady_states``.
+matrix per detuning, all in one ``eigvals`` call, gives the roots of
+``np.roots`` bit for bit; the Newton polish and the merge run on the padded
+(n, 3) root array.  The same formulas on arrays, squared by C ``pow`` as for
+floats, give every branch's saturation and margins with the scalar bits.
+``cavity_scan`` runs this on its grid, ``steady_states`` on a grid of one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,9 +59,8 @@ def saturation(alpha_x: complex, params: PhysicalParams) -> float:
     """Saturation parameter s = 2 g^2 |alpha_x|^2 / delta^2 (dimensionless)."""
     if params.delta ** 2 == 0:   # also catches an underflowing square
         raise ValidationError("saturation undefined at zero detuning")
-    size = abs(alpha_x)
-    square = _square(size) if isinstance(size, np.ndarray) else size ** 2
-    return 2.0 * params.g_coupling ** 2 * square / params.delta ** 2
+    return (2.0 * params.g_coupling ** 2 * _square(abs(alpha_x))
+            / params.delta ** 2)
 
 
 def kerr_coefficient(params: PhysicalParams) -> float:
@@ -144,15 +142,17 @@ def _square(x):
 
 
 def _real_roots(params: PhysicalParams, power: float,
-                delta_c: np.ndarray) -> list[list[float]]:
-    """Real non-negative roots of the cubic at each detuning, sorted.
+                delta_c: np.ndarray) -> np.ndarray:
+    """Real non-negative roots of the cubic at each detuning, as (n, 3) rows:
+    each row's roots in ascending order, then NaN.
 
     The raw roots equal ``np.roots`` bit for bit: leading zero coefficients
     are stripped (a3 = a2 = 0 without atoms) and the companion matrices,
     built as ``np.roots`` builds them, go through one ``eigvals`` call per
-    degree.  Each real root gets up to three Newton steps; coincident roots
-    are merged.  A cubic that overflows, or a dephasing whose denominator
-    underflows, raises ``NumericalError``.
+    degree.  Each real root gets up to three Newton steps, stopping on its
+    own, and coincident roots are merged, all in array arithmetic, which
+    rounds as floats do.  A cubic that overflows, or a dephasing whose
+    denominator underflows, raises ``NumericalError``.
     """
     try:
         a3, a2, a1, a0 = cubic_coefficients(params, power, delta_c)
@@ -168,57 +168,57 @@ def _real_roots(params: PhysicalParams, power: float,
         bad = p[~np.isfinite(p).all(axis=1)][0]
         raise NumericalError(
             f"steady-state cubic is not finite: {tuple(bad.tolist())}")
+    roots = np.full((len(p), 3), np.nan)
     if a0 == 0.0:                       # no drive: the one root I = 0
-        return [[0.0] for _ in p]
-    coeffs = p.tolist()
-    polished = []
-    lead = np.argmax(p != 0.0, axis=1)
+        roots[:, 0] = 0.0
+        return roots
+    lead = (p != 0.0).argmax(axis=1)
     for first in set(lead.tolist()) - {3}:
-        rows, k = np.flatnonzero(lead == first), 3 - first
+        rows, k = (lead == first).nonzero()[0], 3 - first
         companion = np.zeros((rows.size, k, k))
         companion[:, 1:, :-1] = np.eye(k - 1)
         companion[:, 0] = -p[rows, first + 1:] / p[rows, first:first + 1]
-        for i, raw in zip(rows.tolist(),
-                          np.linalg.eigvals(companion).tolist()):
-            a3, a2, a1, a0 = coeffs[i]
-            scale = max(max(map(abs, raw)), 1.0)
-            for r in [r.real for r in raw
-                      if abs(r.imag) <= 1e-9 * scale and r.real > 0.0]:
-                for _ in range(3):
-                    d = (3.0 * a3 * r + 2.0 * a2) * r + a1
-                    if d == 0.0:
-                        break
-                    step = (((a3 * r + a2) * r + a1) * r + a0) / d
-                    r -= step
-                    if abs(step) <= 1e-16 * abs(r):
-                        break
-                polished.append((i, r))
-    merged: list[list[float]] = [[] for _ in p]
-    for i, r in sorted(polished):
-        kept = merged[i]
-        if kept and abs(r - kept[-1]) <= MERGE_RTOL * max(abs(r), abs(kept[-1])):
-            continue
-        kept.append(r)
-    return merged
+        raw = np.linalg.eigvals(companion)
+        scale = np.maximum(np.abs(raw).max(axis=1, keepdims=True), 1.0)
+        real = (np.abs(raw.imag) <= 1e-9 * scale) & (raw.real > 0.0)
+        roots[rows, :k] = np.where(real, raw.real, np.nan)
+    a2, a1 = p[:, 1:2], p[:, 2:3]       # (n, 1) columns against (n, 3) roots
+    live = ~np.isnan(roots)
+    with np.errstate(all="ignore"):     # quiet inf and NaN, as for floats
+        for _ in range(3):
+            d = (3.0 * a3 * roots + 2.0 * a2) * roots + a1
+            step = (((a3 * roots + a2) * roots + a1) * roots + a0) / d
+            polished = roots - step
+            np.copyto(roots, polished, where=live & (d != 0.0))
+            # an inf or NaN step (d == 0 too) stops; a NaN root stays NaN
+            live &= np.abs(step) > 1e-16 * np.abs(polished)
+            if not live.any():
+                break
+        roots.sort(axis=1)              # NaN last
+        for j in 1, 2:                  # merge into the last root kept
+            column, last = roots[:, j], np.fmax(roots[:, 0], roots[:, j - 1])
+            column[np.abs(column - last) <= MERGE_RTOL * np.maximum(
+                np.abs(column), np.abs(last))] = np.nan
+    roots.sort(axis=1)                  # merged roots' NaN to the end
+    return roots
 
 
-def _branches(params: PhysicalParams, delta_c: float, d0: float,
-              roots: list[float]) -> list[SteadyState]:
-    """Steady-state branches at one detuning, one per intensity root."""
-    kappa = params.kappa
-    branches = []
-    for idx, intensity in enumerate(roots):
-        alpha_x = complex(math.sqrt(intensity))
-        s = saturation(alpha_x, params)   # exact by construction
-        det = delta_c - d0 + d0 * s  # D(I)
-        alpha_in = (kappa + 1j * det) * alpha_x / math.sqrt(2.0 * kappa)
-        margin_x = drift_margin(kappa, *linearized_drift("x", kappa, delta_c, d0, s))
-        margin_y = drift_margin(kappa, *linearized_drift("y", kappa, delta_c, d0, s))
-        branches.append(SteadyState(
-            alpha_x=alpha_x, s_x=s, delta_c=delta_c, delta_0=d0,
-            branch_index=idx, mean_field_stable=margin_x < 0.0,
-            y_mode_margin=margin_y, alpha_in=alpha_in))
-    return branches
+def _branch_columns(params: PhysicalParams, power: float, grid: np.ndarray):
+    """Branch counts, then (n, 3) columns of the cubic's roots, intensity,
+    saturation, driven-mode stable flag and orthogonal-mode margin at each
+    detuning of ``grid``: NaN (False) past a row's branches, and each entry
+    with the bits the scalar formulas give on floats."""
+    roots = _real_roots(params, power, grid)
+    present = ~np.isnan(roots)
+    counts = present.sum(axis=1)
+    alpha, delta_c = np.sqrt(roots[present]), np.repeat(grid, counts)
+    s = saturation(alpha, params)     # one entry per branch, row by row
+    d0, kappa = linear_dephasing(params), params.kappa
+    intensity, s_x, margin_x, margin_y = np.full((4, *roots.shape), np.nan)
+    intensity[present], s_x[present] = _square(alpha), s
+    margin_x[present], margin_y[present] = (drift_margin(
+        kappa, *linearized_drift(mode, kappa, delta_c, d0, s)) for mode in "xy")
+    return counts, roots, intensity, s_x, margin_x < 0.0, margin_y
 
 
 def steady_states(params: PhysicalParams, drive: DriveField,
@@ -229,8 +229,18 @@ def steady_states(params: PhysicalParams, drive: DriveField,
     positive, and satisfies the complex steady-state relation to within
     ``RESIDUAL_RTOL``.
     """
-    (roots,) = _real_roots(params, drive.power, np.array([delta_c], float))
-    return _branches(params, delta_c, linear_dephasing(params), roots)
+    (n,), *columns = _branch_columns(params, drive.power,
+                                     np.array([delta_c], float))
+    d0, kappa = linear_dephasing(params), params.kappa
+    branches = []
+    for idx, (root, _, s, stable, margin) in enumerate(
+            zip(*(column[0, :n].tolist() for column in columns))):
+        alpha_x = complex(math.sqrt(root))
+        alpha_in = ((kappa + 1j * (delta_c - d0 + d0 * s))   # D(I)
+                    * alpha_x / math.sqrt(2.0 * kappa))
+        branches.append(SteadyState(alpha_x, s, delta_c, d0, idx, stable,
+                                    margin, alpha_in))
+    return branches
 
 
 def steady_state_residual(steady: SteadyState, params: PhysicalParams) -> float:
@@ -323,7 +333,8 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
 
     The transmitted circular components each carry half of the driven-mode
     output photon flux 2*kappa*I while the linear polarization is stable.
-    Only the continuation runs point by point; the rest is columnar.
+    The branches come from the columnar solve ``steady_states`` runs on a
+    grid of one; only the continuation runs point by point.
     """
     grid = np.array(delta_c_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -331,21 +342,8 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
     steps = np.diff(grid)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValidationError("detuning grid must be strictly monotone")
-
-    all_roots = _real_roots(params, drive.power, grid)
-    d0, kappa = linear_dephasing(params), params.kappa
-    counts = np.array(list(map(len, all_roots)))
-    present = np.arange(3) < counts[:, None]
-    roots, intensity, margin = (np.full(present.shape, np.nan)
-                                for _ in range(3))
-    roots[present] = list(itertools.chain.from_iterable(all_roots))
-    alpha, delta_c = np.sqrt(roots[present]), np.repeat(grid, counts)
-    s = saturation(alpha, params)     # one entry per branch, row by row
-    margin_x = drift_margin(kappa, *linearized_drift("x", kappa, delta_c, d0, s))
-    stable = np.zeros(present.shape, bool)
-    intensity[present], stable[present] = _square(alpha), margin_x < 0.0
-    margin[present] = drift_margin(
-        kappa, *linearized_drift("y", kappa, delta_c, d0, s))
+    counts, roots, intensity, _, stable, margin = _branch_columns(
+        params, drive.power, grid)
     selected, previous = [], None
     for n, levels, flags in zip(counts.tolist(), intensity.tolist(),
                                 stable.tolist()):

@@ -60,7 +60,8 @@ def _branches(params, delta_c, d0, roots):
 
 def cavity_scan(params, drive, delta_c_grid):
     grid = np.asarray(delta_c_grid, dtype=float)
-    all_roots = _real_roots(params, drive.power, grid)
+    all_roots = [row[~np.isnan(row)].tolist()   # the roots before the NaN
+                 for row in _real_roots(params, drive.power, grid)]
     d0 = linear_dephasing(params)
     records = []
     previous_intensity = None

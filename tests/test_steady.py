@@ -512,8 +512,15 @@ def test_batched_roots_equal_the_per_point_solve(case, **draw):
     # the grid plus the window's centre detuning
     p, power, grid, delta_c = cubic_case(case=case, **draw)
     grid = np.append(grid, delta_c)
-    batched = kp.steady._real_roots(p, power, grid)
-    assert len(batched) == grid.size
+    padded = kp.steady._real_roots(p, power, grid)
+    assert padded.shape == (grid.size, 3)
+    # each row: 1-3 roots in ascending order, then NaN only
+    present = ~np.isnan(padded)
+    counts = present.sum(axis=1)
+    assert ((counts >= 1) & (counts <= 3)).all()
+    assert (present == (np.arange(3) < counts[:, None])).all()
+    batched = [row[~np.isnan(row)].tolist() for row in padded]
+    assert all(roots == sorted(roots) for roots in batched)
     for roots, point in zip(batched, grid.tolist()):
         assert roots == per_point_roots(
             kp.steady.cubic_coefficients(p, power, point))
@@ -521,6 +528,12 @@ def test_batched_roots_equal_the_per_point_solve(case, **draw):
         assert len(batched[-1]) == 3
     else:
         assert all(len(roots) == 1 for roots in batched)
+    # the scan holds the same rows, bit for bit, at its drive's power (the
+    # flux of sqrt(power) may differ from power in the last bit)
+    drive = kp.DriveField.from_power(power)
+    scan = kp.cavity_scan(p, drive, grid[:-1])
+    assert bits(scan.roots) == bits(
+        kp.steady._real_roots(p, drive.power, grid)[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -75,3 +75,20 @@ def test_oracle_chunk_is_whole_kernel_blocks():
     # blocks keeps every block, and every output bit, of an unchunked run
     assert isinstance(oracle.CHUNK, int)
     assert oracle.CHUNK > 0 and oracle.CHUNK % _kernel.BLOCK == 0
+
+
+def test_oracle_run_does_not_load_numpy_ma(tmp_path):
+    # np.unique loads numpy.ma (about 1 MB of resident memory); the oracle
+    # checks and de-duplicates its sorted bins without it
+    config = tmp_path / "short.cfg"
+    config.write_text("oracle_duration = 5e-5\n")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from kerrpol import cli; "
+            "code = cli.main(['oracle', '--config', sys.argv[2], "
+            "'--out', sys.argv[3]]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    shown = subprocess.run(
+        [sys.executable, "-c", code, str(SRC.parent), str(config),
+         str(tmp_path / "out")], check=True, capture_output=True,
+        text=True).stdout.split()
+    assert shown[-2:] == ["0", "False"]
