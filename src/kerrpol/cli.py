@@ -1,7 +1,9 @@
 """Config-driven command line: scan | spectrum | stokes | oracle | validate.
 
 Configuration is a flat ``key = value`` text file (``#`` comments).  MHz
-values are converted to rad/s exactly once, at this boundary.  Exit codes:
+values are converted to rad/s exactly once, at this boundary.  A command
+checks every key's own rules and then only what it runs; ``validate`` checks
+what every command runs.  Exit codes:
 0 success, 1 validation error or an unreadable config or unwritable output,
 2 numerical failure (instability or singularity), 3 oracle mismatch.
 """
@@ -118,13 +120,17 @@ def _line(cfg: RunConfig, key: str) -> str:
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse and fully validate a flat key=value configuration.
+    """Parse a flat key=value configuration and check it as ``validate`` does.
 
     Unknown keys, duplicates, syntax problems and violated physical
     invariants are reported with the offending key and line number; keys
     absent from the file keep their defaults.  ``overrides`` (command-line
     values) replace the file's and go through the same validation.
     """
+    return _parse(text, overrides, "validate")
+
+
+def _parse(text: str, overrides: dict | None, command: str) -> RunConfig:
     values: dict = {}
     lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,9 +141,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             raise ValidationError(
                 f"config line {lineno}: expected 'key = value', got "
                 f"{stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
         if key not in _FIELD_TYPES:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
@@ -152,7 +156,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         values[key], lines[key] = value, "override"
     cfg = replace(RunConfig(), **values)
-    _validate_config(cfg, lines)
+    _validate_config(cfg, lines, command)
     return cfg
 
 
@@ -183,7 +187,8 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(physics.encode()).hexdigest()[:16]
 
 
-def _validate_config(cfg: RunConfig, lines: dict) -> None:
+def _validate_config(cfg: RunConfig, lines: dict, command: str) -> None:
+    """Every key's own rules, then the checks of what ``command`` runs."""
     def fail(key: str, message: str):
         where = lines.get(key, "default")
         raise ValidationError(f"config {where}: {key}: {message}")
@@ -239,10 +244,14 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
         fail("out_dir", "must not be empty")
     if cfg.format not in ("csv", "json"):
         fail("format", "must be 'csv' or 'json'")
-    # every command solves the steady-state cubic: a3 and a0 are alike at
-    # every detuning, |a2| and |a1| peak at a scan end or the operating point
+    point = command in ("spectrum", "stokes", "oracle", "validate")
+    scan = command in ("scan", "validate")
+    oracle = command in ("oracle", "validate")
+    # a3 and a0 are alike at every detuning, so every command checks them at
+    # 0; |a2| and |a1| peak at a scan end or at the operating point
     params, power = build_params(cfg), build_drive(cfg).power
-    for key in ("n_atoms", "delta_c_mhz", "scan_start_mhz", "scan_stop_mhz"):
+    for key in ("n_atoms", *(("delta_c_mhz",) if point else ()),
+                *(("scan_start_mhz", "scan_stop_mhz") if scan else ())):
         delta_c = 0.0 if key == "n_atoms" else getattr(cfg, key) * TWO_PI_MHZ
         try:
             *coeffs, a0 = cubic_coefficients(params, power, delta_c)
@@ -255,8 +264,10 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
         if not all(map(math.isfinite, coeffs)):
             fail(key, "the steady-state cubic is not finite")
     # the cubic checks keep the span finite
-    if not 2 <= _scan_points(cfg) <= MAX_SCAN_POINTS:
+    if scan and not 2 <= _scan_points(cfg) <= MAX_SCAN_POINTS:
         fail("scan_step_mhz", f"must leave 2 to {MAX_SCAN_POINTS} scan points")
+    if not oracle:
+        return
     # the oracle's Welch segments and compared band, before any run; the
     # segment count keeps the bin grid no longer than the trajectory
     traj = _trajectory(cfg)
@@ -266,7 +277,7 @@ def _validate_config(cfg: RunConfig, lines: dict) -> None:
     except (ValidationError, OverflowError) as exc:   # inf steps overflow
         fail("oracle_duration", str(exc))
     try:
-        _oracle_band(cfg, params)
+        _oracle_band(cfg)
     except ValidationError as exc:
         fail("oracle_segment_length", str(exc))
 
@@ -303,19 +314,21 @@ def _trajectory(cfg: RunConfig, theta_list=(0.0,)) -> TrajectoryConfig:
                             theta_list=theta_list)
 
 
-def _oracle_band(cfg: RunConfig, params: PhysicalParams) -> np.ndarray:
+def _oracle_band(cfg: RunConfig) -> np.ndarray:
     """Indices of the oracle's Welch bins within 0.1 to 3 kappa, >= 10.
 
     The Welch grid depends only on the segment length and dt, so the band
     is checked before any step is integrated.
     """
     omega = welch_omega(cfg.oracle_segment_length, cfg.oracle_dt)
-    band = np.nonzero((omega >= 0.1 * params.kappa)
-                      & (omega <= 3.0 * params.kappa))[0]
+    kappa = cfg.kappa_mhz * TWO_PI_MHZ
+    band = np.nonzero((omega >= 0.1 * kappa) & (omega <= 3.0 * kappa))[0]
     if band.size < 10:
         raise ValidationError(
             "oracle PSD resolution too coarse for the comparison band; "
-            "decrease oracle_dt or increase oracle_segment_length")
+            "decrease oracle_dt or increase oracle_segment_length: "
+            f"{band.size} bins in {cfg.kappa_mhz / 10:g}-{cfg.kappa_mhz * 3:g}"
+            " MHz, 10 needed (kappa_mhz, oracle_dt, oracle_segment_length)")
     return band
 
 
@@ -337,15 +350,16 @@ def select_branch(cfg: RunConfig, params: PhysicalParams):
     return stable[-1] if cfg.branch == "high" else stable[0]
 
 
-def _theta_grid(cfg: RunConfig) -> np.ndarray:
+def _grids(cfg: RunConfig):
+    """The phase grid in rad, the frequencies in MHz and in rad/s."""
+    freqs = np.array(cfg.freqs_mhz)
     return np.radians(np.linspace(cfg.theta_start_deg, cfg.theta_stop_deg,
-                                  cfg.theta_points))
+                                  cfg.theta_points)), freqs, freqs * TWO_PI_MHZ
 
 
 def _base_meta(cfg: RunConfig) -> dict:
     return {"generator": f"kerrpol {__version__}",
-            "config_hash": config_hash(cfg),
-            "seed": cfg.oracle_seed}
+            "config_hash": config_hash(cfg), "seed": cfg.oracle_seed}
 
 
 def cmd_validate(cfg: RunConfig, log=print) -> int:
@@ -360,10 +374,10 @@ def cmd_validate(cfg: RunConfig, log=print) -> int:
 
 
 def cmd_scan(cfg: RunConfig) -> OutputTable:
-    params = build_params(cfg)
     grid_mhz = cfg.scan_start_mhz + cfg.scan_step_mhz * np.arange(
         _scan_points(cfg))
-    scan = cavity_scan(params, build_drive(cfg), grid_mhz * TWO_PI_MHZ)
+    scan = cavity_scan(build_params(cfg), build_drive(cfg),
+                       grid_mhz * TWO_PI_MHZ)
     half = scan.transmitted_intensity()
     return OutputTable(
         name="scan",
@@ -407,9 +421,7 @@ def _operating_point(cfg: RunConfig, mode: str, log):
 def cmd_spectrum(cfg: RunConfig, mode: str = "y",
                  log=lambda *_: None) -> OutputTable:
     params, steady, model = _operating_point(cfg, mode, log)
-    thetas = _theta_grid(cfg)
-    freqs = np.array(cfg.freqs_mhz)
-    omegas = freqs * TWO_PI_MHZ
+    thetas, freqs, omegas = _grids(cfg)
     # per frequency: the theta grid, then the minimum and the maximum
     s = np.empty((freqs.size, thetas.size + 2))
     theta = np.empty_like(s)
@@ -434,9 +446,7 @@ def cmd_spectrum(cfg: RunConfig, mode: str = "y",
 def cmd_stokes(cfg: RunConfig,
                log=lambda *_: None) -> tuple[OutputTable, OutputTable]:
     params, steady, model = _operating_point(cfg, "y", log)
-    thetas = _theta_grid(cfg)
-    freqs = np.array(cfg.freqs_mhz)
-    omegas = freqs * TWO_PI_MHZ
+    thetas, freqs, omegas = _grids(cfg)
     scans = [phase_scan_dataset(model, omega, thetas, eta=params.eta_det)
              for omega in omegas.tolist()]
     v_theta = np.concatenate([ds.v_theta for ds in scans])
@@ -485,12 +495,11 @@ def cmd_oracle(cfg: RunConfig, mode: str = "y",
         if not sim_model.is_stable:
             raise NumericalError("perturbed oracle model is unstable")
 
-    band = _oracle_band(cfg, params)
+    band = _oracle_band(cfg)
     picks = band[np.linspace(0, band.size - 1, 12).round().astype(int)]
     picks = picks[np.diff(picks, prepend=-1) > 0]    # sorted: drop repeats
 
-    omega_ref = cfg.freqs_mhz[0] * TWO_PI_MHZ
-    _, _, theta_min = min_max_spectrum(model, omega_ref)
+    _, _, theta_min = min_max_spectrum(model, cfg.freqs_mhz[0] * TWO_PI_MHZ)
     theta_list = (theta_min, fold_angle(theta_min + math.pi / 2.0))
     traj = _trajectory(cfg, theta_list)
     estimate = oracle_psd(sim_model, traj, cfg.oracle_segment_length,
@@ -513,14 +522,10 @@ def _load_config(args) -> RunConfig:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "format", None):
-        overrides["format"] = args.format
-    if getattr(args, "seed", None) is not None:
-        overrides["oracle_seed"] = args.seed
-    return parse_config(text, overrides)
+    flags = {"out_dir": args.out, "format": args.format,
+             "oracle_seed": args.seed}
+    return _parse(text, {key: value for key, value in flags.items()
+                         if value is not None}, args.command)
 
 
 def main(argv=None) -> int:
@@ -531,28 +536,22 @@ def main(argv=None) -> int:
                         version=f"kerrpol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, text in (
+            ("scan", "cavity-length scan dataset"),
+            ("spectrum", "quadrature noise spectra"),
+            ("stokes", "Stokes noise and phase scan"),
+            ("oracle", "stochastic check of the analytic spectra"),
+            ("validate", "validate a configuration"),
+            ("template", "print the default configuration")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--format", choices=["csv", "json"],
                        help="output format (overrides config)")
         p.add_argument("--seed", type=int,
                        help="oracle seed (overrides config)")
-
-    add_common(sub.add_parser("scan", help="cavity-length scan dataset"))
-    p_spec = sub.add_parser("spectrum", help="quadrature noise spectra")
-    add_common(p_spec)
-    p_spec.add_argument("--mode", choices=["x", "y"], default="y")
-    add_common(sub.add_parser("stokes", help="Stokes noise and phase scan"))
-    p_orc = sub.add_parser("oracle",
-                           help="stochastic check of the analytic spectra")
-    add_common(p_orc)
-    p_orc.add_argument("--mode", choices=["x", "y"], default="y")
-    p_val = sub.add_parser("validate", help="validate a configuration")
-    add_common(p_val)
-    p_tmpl = sub.add_parser("template",
-                            help="print the default configuration")
-    add_common(p_tmpl)
+        if name in ("spectrum", "oracle"):
+            p.add_argument("--mode", choices=["x", "y"], default="y")
 
     args = parser.parse_args(argv)
     warn = functools.partial(print, file=sys.stderr)

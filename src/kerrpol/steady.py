@@ -182,6 +182,7 @@ def _real_roots(params: PhysicalParams, power: float,
         scale = np.maximum(np.abs(raw).max(axis=1, keepdims=True), 1.0)
         real = (np.abs(raw.imag) <= 1e-9 * scale) & (raw.real > 0.0)
         roots[rows, :k] = np.where(real, raw.real, np.nan)
+        del companion, raw, scale, real     # not held through the polish
     a2, a1 = p[:, 1:2], p[:, 2:3]       # (n, 1) columns against (n, 3) roots
     live = ~np.isnan(roots)
     with np.errstate(all="ignore"):     # quiet inf and NaN, as for floats

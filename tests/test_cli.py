@@ -1,6 +1,8 @@
+import collections
 import json
 import math
 import os
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -169,7 +171,7 @@ def run_configs(draw):
 def passes_validation(cfg):
     # the drawn extremes include configs whose steady-state cubic overflows
     try:
-        cli._validate_config(cfg, {})
+        cli._validate_config(cfg, {}, "validate")
     except kp.ValidationError:
         return False
     return True
@@ -491,18 +493,110 @@ def test_oracle_coarse_resolution_exits_1_before_integrating(
      "cannot convert float infinity to integer")])       # inf steps
 def test_every_command_rejects_an_oracle_run_that_cannot_work(
         tmp_path, capsys, line, key, message):
-    # validate and scan used to accept what oracle refused
+    # validate and oracle refuse what oracle cannot run; scan, which runs no
+    # oracle, accepts it
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     out = tmp_path / "out"
-    for command in ("validate", "scan", "oracle"):
+    for command in ("validate", "oracle"):
         assert cli.main([command, "--config", str(path),
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config line 1: {key}: {message}")
         assert "Traceback" not in err
     assert not out.exists()
+    assert cli.main(["scan", "--config", str(path), "--out", str(out)]) == 0
     assert cli.main(["validate", "--config", FIXTURE]) == 0
+
+
+COMMANDS = ("scan", "spectrum", "stokes", "oracle")
+CUBIC = "the steady-state cubic is not finite"
+# one-line configs: the key each fails under, its message, and the commands
+# that check it; validate checks them all and every other command runs
+CONFIG_CHECKS = [
+    # the file sets only kappa_mhz: the band error names the bins and keys
+    ("kappa_mhz = 4.0", "default: oracle_segment_length",
+     "oracle PSD resolution too coarse for the comparison band; decrease "
+     "oracle_dt or increase oracle_segment_length: 9 bins in 0.4-12 MHz, 10 "
+     "needed (kappa_mhz, oracle_dt, oracle_segment_length)\n", {"oracle"}),
+    ("oracle_segment_length = 1024", "line 1: oracle_segment_length",
+     "oracle PSD resolution too coarse for the comparison band", {"oracle"}),
+    ("oracle_duration = 1e-6", "line 1: oracle_duration",
+     "need at least 4 segments for error bars, got 1", {"oracle"}),
+    ("oracle_duration = 1e300\noracle_dt = 1e-300", "line 1: oracle_duration",
+     "cannot convert float infinity to integer", {"oracle"}),
+    ("scan_step_mhz = 1e-12", "line 1: scan_step_mhz",
+     "must leave 2 to 1000000 scan points", {"scan"}),
+    ("scan_step_mhz = 1e-320", "line 1: scan_step_mhz",
+     "must leave 2 to 1000000 scan points", {"scan"}),
+    ("scan_stop_mhz = 1e300", "line 1: scan_stop_mhz", CUBIC, {"scan"}),
+    ("delta_c_mhz = 1e300", "line 1: delta_c_mhz", CUBIC,
+     {"spectrum", "stokes", "oracle"}),
+    ("n_atoms = 1e300", "line 1: n_atoms", CUBIC, set(COMMANDS)),
+    ("power_uw = 1e280", "line 1: power_uw", CUBIC, set(COMMANDS)),
+    ("delta_mhz = 1e-300", "line 1: delta_mhz",
+     "its square underflows to zero", set(COMMANDS))]
+
+
+@pytest.mark.parametrize("text, where, message, readers, command", [
+    pytest.param(*check, command, id=f"{command}: {check[0]}")
+    for check in CONFIG_CHECKS for command in ("validate", *COMMANDS)
+    # a full oracle run is left to the oracle tests
+    if command != "oracle" or command in check[-1]])
+def test_each_command_checks_only_the_config_it_runs(
+        tmp_path, capsys, monkeypatch, text, where, message, readers,
+        command):
+    def integrate_em(*args):
+        raise AssertionError("a step was integrated")
+
+    monkeypatch.setattr(kp.oracle._kernel, "integrate_em", integrate_em)
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if command == "validate" or command in readers:
+        assert code == 1
+        assert err.startswith(f"error: config {where}: {message}")
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert out.is_dir()
+
+
+def test_validate_checks_what_every_command_checks():
+    # draws near each check's limit: validate rejects a config exactly when
+    # some command does, with the message of one that does
+    rng = random.Random(23)
+    extremes = {"n_atoms": 1e300, "power_uw": 1e280,
+                "delta_mhz": 1e-300, "delta_c_mhz": 1e300,
+                "scan_stop_mhz": 1e300, "theta_points": 1}
+    failing = collections.Counter()
+    for _ in range(600):
+        cfg = replace(
+            cli.RunConfig(), kappa_mhz=rng.uniform(3.9, 5.0),
+            oracle_duration=10.0 ** rng.uniform(-6.0, -4.0),
+            oracle_segment_length=rng.choice([1024, 16384, 16384, 32768]),
+            scan_step_mhz=10.0 ** rng.uniform(-5.0, 3.0),
+            **{key: value for key, value in extremes.items()
+               if rng.random() < 0.08})
+        verdicts = {}
+        for command in ("validate", "template", *COMMANDS):
+            try:
+                cli._validate_config(cfg, {}, command)
+            except kp.ValidationError as exc:
+                verdicts[command] = str(exc)
+        rejected = {verdicts[c] for c in COMMANDS if c in verdicts}
+        assert ("validate" in verdicts) == bool(rejected)
+        assert verdicts.get("validate", "") in rejected | {""}
+        if "template" in verdicts:
+            assert rejected == {verdicts["template"]}
+            assert all(c in verdicts for c in COMMANDS)
+        failing[frozenset(c for c in COMMANDS if c in verdicts)] += 1
+    for only in (set(), {"scan"}, {"oracle"},
+                 {"spectrum", "stokes", "oracle"}, set(COMMANDS)):
+        assert failing[frozenset(only)] >= 20, failing
 
 
 def test_oracle_zero_duration_config_exits_1(tmp_path, capsys):

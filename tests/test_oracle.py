@@ -840,6 +840,30 @@ def test_compare_rejects_degenerate_error_bars():
     assert report.passed
 
 
+@pytest.mark.parametrize("points, z_out, passed", [
+    (20, [4.0], True),      # 19 of 20 within: exactly 95%
+    (17, [-4.0], False),    # 16 of 17 within: 94.1%
+    (17, [3.0], True),      # |z| = 3 counts as within
+    (17, [-3.0], True),
+    (20, [4.0, 3.0], True),
+    (20, [4.0, np.nextafter(3.0, 4.0)], False)])
+def test_compare_gate_is_95_percent_within_3_sigma(points, z_out, passed):
+    # z = (analytic - empirical) / stderr is exact in these small numbers
+    omega = np.arange(1.0, points + 1.0)
+    analytic = np.full((points, 1), 5.0)
+    empirical = analytic.copy()
+    empirical[:len(z_out), 0] -= z_out
+    report = kp.compare(
+        kp.NoiseSpectrum(omega=omega, theta=np.zeros(1), values=analytic,
+                         mode_label="y"),
+        kp.PsdEstimate(omega=omega, psd=empirical, stderr=np.ones((points, 1)),
+                       n_segments=8, thetas=(0.0,)))
+    assert report.z.tolist() == [*z_out, *[0.0] * (points - len(z_out))]
+    outside = np.count_nonzero(np.abs(z_out) > 3.0)
+    assert report.fraction_within_3 == (points - outside) / points
+    assert report.passed is passed
+
+
 GRID = np.linspace(0.2, 2.0, 6)
 
 

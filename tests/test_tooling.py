@@ -48,16 +48,20 @@ def test_kernel_makes_no_blas_call():
 def test_import_loads_only_numpy_and_the_stdlib():
     # the declared dependencies are numpy alone, and a fresh interpreter's
     # import time grows with every module the package and its command line
-    # pull in
+    # pull in; parsing the shipped config loads none of what only a run needs
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "before = set(sys.modules); import kerrpol, kerrpol.cli; "
+            "kerrpol.cli.parse_config(open(sys.argv[2]).read()); "
             "print(*sorted(set(sys.modules) - before))")
     loaded = subprocess.run(
-        [sys.executable, "-c", code, str(SRC.parent)], check=True,
+        [sys.executable, "-c", code, str(SRC.parent),
+         str(SRC.parent.parent / "configs" / "default.cfg")], check=True,
         capture_output=True, text=True).stdout.split()
     assert {"kerrpol.oracle", "kerrpol.cli"} <= set(loaded)
     allowed = {"kerrpol", "numpy", *sys.stdlib_module_names}
     assert [m for m in loaded if m.split(".")[0] not in allowed] == []
+    run_only = {"numpy.fft", "numpy.ma", "numpy.random", "concurrent.futures"}
+    assert run_only.isdisjoint(loaded)
 
 
 def test_all_lists_every_public_export():
