@@ -255,9 +255,9 @@ def _validate_config(cfg: RunConfig, lines: dict, command: str) -> None:
         delta_c = 0.0 if key == "n_atoms" else getattr(cfg, key) * TWO_PI_MHZ
         try:
             *coeffs, a0 = cubic_coefficients(params, power, delta_c)
-        except ValidationError:   # delta ** 2 underflows to zero
+        except ValidationError:   # delta * delta underflows to zero
             fail("delta_mhz", "its square underflows to zero")
-        except ArithmeticError:   # a square overflows
+        except ZeroDivisionError:   # delta * transmission underflows
             coeffs, a0 = [math.inf], 0.0
         if not math.isfinite(a0):
             fail("power_uw", "the steady-state cubic is not finite")
@@ -270,11 +270,11 @@ def _validate_config(cfg: RunConfig, lines: dict, command: str) -> None:
         return
     # the oracle's Welch segments and compared band, before any run; the
     # segment count keeps the bin grid no longer than the trajectory
-    traj = _trajectory(cfg)
     try:
+        traj = _trajectory(cfg)
         welch_segments(traj.n_steps - traj.n_burn, cfg.oracle_segment_length,
                        cfg.oracle_overlap)
-    except (ValidationError, OverflowError) as exc:   # inf steps overflow
+    except ValidationError as exc:
         fail("oracle_duration", str(exc))
     try:
         _oracle_band(cfg)

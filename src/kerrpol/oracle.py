@@ -82,6 +82,9 @@ class TrajectoryConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.duration >= 1000.0 * self.dt:
             raise ValidationError("duration must be at least 1000*dt")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValidationError("cannot convert float infinity to integer: "
+                                  "the step count duration/dt overflows")
         if not 0.0 <= self.burn_in <= 0.5:
             raise ValidationError("burn_in fraction must lie in [0, 0.5]")
         if len(self.theta_list) == 0:

@@ -23,8 +23,8 @@ Each mode's linearized drift (see :mod:`kerrpol.spectra`) has eigenvalues
 The cubic is solved for a whole grid of detunings at once: one companion
 matrix per detuning, all in one ``eigvals`` call, gives the roots of
 ``np.roots`` bit for bit; the Newton polish and the merge run on the padded
-(n, 3) root array.  The same formulas on arrays, squared by C ``pow`` as for
-floats, give every branch's saturation and margins with the scalar bits.
+(n, 3) root array.  The same formulas, each square a product ``x * x``, give
+every branch's saturation and margins on arrays with the scalar bits.
 ``cavity_scan`` runs this on its grid, ``steady_states`` on a grid of one.
 """
 
@@ -51,23 +51,25 @@ def linear_dephasing(params: PhysicalParams) -> float:
     """
     if params.delta == 0:
         raise ValidationError("linear dephasing undefined at zero detuning")
-    return (2.0 * params.n_atoms * params.g_coupling ** 2 * params.kappa
-            / (params.delta * params.transmission))
+    return (2.0 * params.n_atoms * (params.g_coupling * params.g_coupling)
+            * params.kappa / (params.delta * params.transmission))
 
 
 def saturation(alpha_x: complex, params: PhysicalParams) -> float:
     """Saturation parameter s = 2 g^2 |alpha_x|^2 / delta^2 (dimensionless)."""
-    if params.delta ** 2 == 0:   # also catches an underflowing square
+    if params.delta * params.delta == 0:   # also an underflowing square
         raise ValidationError("saturation undefined at zero detuning")
-    return (2.0 * params.g_coupling ** 2 * _square(abs(alpha_x))
-            / params.delta ** 2)
+    amplitude = abs(alpha_x)
+    return (2.0 * (params.g_coupling * params.g_coupling)
+            * (amplitude * amplitude) / (params.delta * params.delta))
 
 
 def kerr_coefficient(params: PhysicalParams) -> float:
     """Intensity-to-saturation slope c = 2 g^2 / delta^2, so s = c*I."""
-    if params.delta ** 2 == 0:   # also catches an underflowing square
+    if params.delta * params.delta == 0:   # also an underflowing square
         raise ValidationError("Kerr coefficient undefined at zero detuning")
-    return 2.0 * params.g_coupling ** 2 / params.delta ** 2
+    return (2.0 * (params.g_coupling * params.g_coupling)
+            / (params.delta * params.delta))
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ class SteadyState:
 
     @property
     def intensity(self) -> float:
-        return abs(self.alpha_x) ** 2
+        amplitude = abs(self.alpha_x)
+        return amplitude * amplitude
 
 
 def linearized_drift(mode: str, kappa: float, delta_c: float, delta_0: float,
@@ -110,13 +113,12 @@ def linearized_drift(mode: str, kappa: float, delta_c: float, delta_0: float,
 
 
 def drift_margin(kappa: float, m11: complex, m12: complex) -> float:
-    """Largest real part of the drift eigenvalues (rad/s), in closed form;
-    elementwise, with the same bits, on arrays of entries."""
-    if isinstance(m12, np.ndarray):
-        radicand = _square(abs(m12)) - _square(m11.imag)
-        return -kappa + np.sqrt(np.maximum(radicand, 0.0))
-    radicand = abs(m12) ** 2 - m11.imag ** 2
-    return -kappa if radicand <= 0.0 else -kappa + math.sqrt(radicand)
+    """Largest real part of the drift eigenvalues (rad/s), in closed form: a
+    ``float``, or elementwise on arrays of entries with the same bits."""
+    coupling, rotation = abs(m12), m11.imag
+    margin = -kappa + np.sqrt(np.maximum(
+        coupling * coupling - rotation * rotation, 0.0))
+    return margin if isinstance(margin, np.ndarray) else float(margin)
 
 
 def cubic_coefficients(params: PhysicalParams, power: float, delta_c):
@@ -128,17 +130,10 @@ def cubic_coefficients(params: PhysicalParams, power: float, delta_c):
     c = kerr_coefficient(params)
     dl = delta_c - d0
     slope = d0 * c
-    return (slope ** 2,
+    return (slope * slope,
             2.0 * dl * slope,
-            params.kappa ** 2 + _square(dl),
+            params.kappa * params.kappa + dl * dl,
             -2.0 * params.kappa * power)
-
-
-def _square(x):
-    """``x ** 2`` by C ``pow``, as for a Python float, also on arrays (numpy
-    squares arrays as x*x, off in the last bit on ~0.1% of inputs)."""
-    return np.array([v ** 2 for v in x.tolist()]) \
-        if isinstance(x, np.ndarray) else x ** 2
 
 
 def _real_roots(params: PhysicalParams, power: float,
@@ -151,14 +146,12 @@ def _real_roots(params: PhysicalParams, power: float,
     built as ``np.roots`` builds them, go through one ``eigvals`` call per
     degree.  Each real root gets up to three Newton steps, stopping on its
     own, and coincident roots are merged, all in array arithmetic, which
-    rounds as floats do.  A cubic that overflows, or a dephasing whose
-    denominator underflows, raises ``NumericalError``.
+    rounds as floats do.  A coefficient that overflows to inf (or NaN), or
+    a dephasing whose denominator underflows, raises ``NumericalError``.
     """
     try:
-        a3, a2, a1, a0 = cubic_coefficients(params, power, delta_c)
-    except OverflowError as exc:
-        raise NumericalError("steady-state cubic overflows: a squared "
-                             "coefficient exceeds the float range") from exc
+        with np.errstate(all="ignore"):   # inf and NaN fail the check below
+            a3, a2, a1, a0 = cubic_coefficients(params, power, delta_c)
     except ZeroDivisionError as exc:
         raise NumericalError("linear dephasing divides by zero: "
                              "delta * transmission underflows") from exc
@@ -166,8 +159,8 @@ def _real_roots(params: PhysicalParams, power: float,
     p[:, 0], p[:, 1], p[:, 2], p[:, 3] = a3, a2, a1, a0
     if not np.isfinite(p).all():
         bad = p[~np.isfinite(p).all(axis=1)][0]
-        raise NumericalError(
-            f"steady-state cubic is not finite: {tuple(bad.tolist())}")
+        raise NumericalError(f"steady-state cubic overflows: coefficients "
+                             f"{tuple(bad.tolist())} are not finite")
     roots = np.full((len(p), 3), np.nan)
     if a0 == 0.0:                       # no drive: the one root I = 0
         roots[:, 0] = 0.0
@@ -216,7 +209,7 @@ def _branch_columns(params: PhysicalParams, power: float, grid: np.ndarray):
     s = saturation(alpha, params)     # one entry per branch, row by row
     d0, kappa = linear_dephasing(params), params.kappa
     intensity, s_x, margin_x, margin_y = np.full((4, *roots.shape), np.nan)
-    intensity[present], s_x[present] = _square(alpha), s
+    intensity[present], s_x[present] = alpha * alpha, s
     margin_x[present], margin_y[present] = (drift_margin(
         kappa, *linearized_drift(mode, kappa, delta_c, d0, s)) for mode in "xy")
     return counts, roots, intensity, s_x, margin_x < 0.0, margin_y

@@ -30,11 +30,12 @@ class ScanRecord:
 
 
 def saturation(alpha_x, params):
-    return 2.0 * params.g_coupling ** 2 * abs(alpha_x) ** 2 / params.delta ** 2
+    g, amplitude, delta = params.g_coupling, abs(alpha_x), params.delta
+    return 2.0 * (g * g) * (amplitude * amplitude) / (delta * delta)
 
 
 def drift_margin(kappa, m11, m12):
-    radicand = abs(m12) ** 2 - m11.imag ** 2
+    radicand = abs(m12) * abs(m12) - m11.imag * m11.imag
     if radicand <= 0.0:
         return -kappa
     return -kappa + math.sqrt(radicand)

@@ -271,7 +271,9 @@ def test_finite_extreme_values_exit_cleanly(tmp_path, capsys, command,
     path = write_config(tmp_path, override)
     out = tmp_path / "out"
     assert cli.main(command + ["--config", path, "--out", str(out)]) == code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "Warning" not in err
     assert not out.exists()
 
 

@@ -68,6 +68,8 @@ def test_config_validation():
         kp.TrajectoryConfig(dt=0.01, duration=100.0, seed=1, theta_list=())
     with pytest.raises(kp.ValidationError, match="seed"):
         kp.TrajectoryConfig(dt=0.01, duration=100.0, seed=-1)
+    with pytest.raises(kp.ValidationError, match="duration/dt overflows"):
+        kp.TrajectoryConfig(dt=1e-300, duration=1e300, seed=0)   # inf steps
 
 
 def test_simulate_rejects_coarse_step_and_instability():

@@ -343,6 +343,38 @@ def test_y_margin_matches_numerical_eigenvalues(rng):
         assert closed == pytest.approx(eig_margin, rel=1e-9, abs=1e-9)
 
 
+def test_squares_are_correctly_rounded_products():
+    # C pow rounds x ** 2 one ulp off on about one float in 1,300, where the
+    # product x * x is correctly rounded; floats and one-element arrays must
+    # both give the product's bits
+    draws = np.random.default_rng(24).uniform(0.5, 2.0, 20_000).tolist()
+    misrounded = [x for x in draws if x ** 2 != x * x][:8]
+    if not misrounded:
+        pytest.skip("x ** 2 is correctly rounded on this platform")
+    # powers of two keep 2 g^2 / delta^2 exact, so a misrounded square shows
+    p = replace(make_params(), g_coupling=0.5, delta=-2.0)
+    kappa = p.kappa
+    state = kp.SteadyState(0j, 0.0, 0.0, 0.0, 0, True, -kappa, 0j)
+    for x in misrounded:
+        # |m11.imag| just below |m12|: the radicand cancels, so one ulp of
+        # x * x moves the margin by far more than one ulp of kappa
+        y = x * (1.0 - 2.0 ** -20)
+        m11, m12 = complex(-kappa, y), complex(x, 0.0)
+        for value, column, product in (
+                (kp.saturation(x, p), kp.saturation(np.array([x]), p),
+                 2.0 * 0.25 * (x * x) / 4.0),
+                (kp.steady.drift_margin(kappa, m11, m12),
+                 kp.steady.drift_margin(kappa, np.array([m11]),
+                                        np.array([m12])),
+                 -kappa + math.sqrt(x * x - y * y)),
+                (replace(state, alpha_x=complex(x)).intensity,
+                 replace(state, alpha_x=np.array([complex(x)])).intensity,
+                 x * x)):
+            assert type(value) is float
+            assert column.tolist() == [value]
+            assert value == product
+
+
 # ---------------------------------------------------------------------------
 # cavity scan
 
@@ -440,8 +472,8 @@ UNDERFLOWS = "delta \\* transmission underflows"
     ({"delta": 1e-150, "transmission": 1e-180}, 1.0, [0.0, 1.0], UNDERFLOWS),
 ], ids=["n_atoms", "drive", "scan_point", "dephasing_underflow"])
 def test_unformable_cubic_raises_numerical_error(changes, power, grid, match):
-    # Python float arithmetic raises OverflowError / ZeroDivisionError here;
-    # library callers get the package's own error from both entry points
+    # a squared coefficient overflows to inf, or the dephasing divides by
+    # zero; library callers get the package's own error from both entry points
     p = replace(make_params(delta0=-8.0), **changes)
     drive = kp.DriveField.from_power(power)
     with pytest.raises(kp.NumericalError, match=match):
