@@ -364,6 +364,9 @@ def _base_meta(cfg: RunConfig) -> dict:
 
 def cmd_validate(cfg: RunConfig, log=print) -> int:
     params = build_params(cfg)
+    steady = select_branch(cfg, params)
+    for mode in ("y", "x"):    # y first: the mode the commands default to
+        _build_drift(steady, params, mode).require_stable()
     log(f"configuration ok (hash {config_hash(cfg)})")
     if params.bad_cavity:
         log("note: bad-cavity regime, cavity linewidth exceeds the atomic "
@@ -407,11 +410,7 @@ def _operating_point(cfg: RunConfig, mode: str, log):
     params = build_params(cfg)
     steady = select_branch(cfg, params)
     model = _build_drift(steady, params, mode)
-    if not model.is_stable:
-        raise NumericalError(
-            f"{mode}-mode fluctuations unstable on branch "
-            f"{steady.branch_index} (margin {model.stability_margin:.4g} "
-            "rad/s)")
+    model.require_stable()
     for freq in cfg.freqs_mhz:
         for warning in model_validity(model, params, freq * TWO_PI_MHZ):
             log(f"warning ({freq} MHz): {warning}")

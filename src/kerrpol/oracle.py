@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernel
-from .errors import UnstableModelError, ValidationError
+from .errors import ValidationError
 from .spectra import FluctuationModel, NoiseSpectrum
 
 MAX_STEP_FRACTION = 0.1   # dt * |m11| above this is too coarse to trust
@@ -114,11 +114,9 @@ class QuadratureSeries:
 
 
 def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig) -> None:
-    """Raise unless the EM run of ``cfg`` on ``model`` is sound."""
-    if not model.is_stable:
-        raise UnstableModelError(
-            f"cannot simulate unstable {model.mode_label}-mode model "
-            f"(margin {model.stability_margin:.3g} rad/s)")
+    """Raise unless the EM run of ``cfg`` on ``model`` is sound: the model
+    passes ``FluctuationModel.require_stable`` and the step is fine enough."""
+    model.require_stable()
     if cfg.dt * abs(model.m11) > MAX_STEP_FRACTION:
         raise ValidationError(
             f"step too coarse: dt*|m11| = {cfg.dt * abs(model.m11):.3g} "
@@ -251,7 +249,7 @@ class _Welch:
             self.basis = np.exp(-2j * math.pi / length * turns).view(
                 np.float64).reshape(length, 2 * picked.size)
         self.window = np.hanning(length + 1)[:-1]   # periodic Hann
-        self.norm = dt / np.sum(self.window ** 2)
+        self.norm = dt / np.sum(self.window * self.window)
         n_omega = self.omega.size
         self.batch = max(1, min(BATCH_SEGMENTS, BATCH_SAMPLES // length))
         self.segs = np.empty((self.batch, 2, length))   # windowed, pending
@@ -321,10 +319,10 @@ class _Welch:
         mean = self.norm * np.maximum(
             sum(coef[u] * sums[u] for u in range(3)), 0.0) / n_seg
         # sum over segments of the periodogram squared
-        acc2 = self.norm ** 2 * sum(
+        acc2 = self.norm * self.norm * sum(
             (1.0 if u == v else 2.0) * coef[u] * coef[v] * sums[j]
             for j, (u, v) in enumerate(_SECOND, start=3))
-        var = np.maximum(acc2 - n_seg * mean ** 2, 0.0) / (n_seg - 1)
+        var = np.maximum(acc2 - n_seg * (mean * mean), 0.0) / (n_seg - 1)
         return self.omega, mean, np.sqrt(var / n_seg), n_seg
 
 

@@ -149,4 +149,5 @@ class DriveField:
     @property
     def power(self) -> float:
         """Incident photon flux |alpha_in|^2."""
-        return abs(complex(self.alpha_in)) ** 2
+        amplitude = abs(complex(self.alpha_in))
+        return amplitude * amplitude

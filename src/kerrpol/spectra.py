@@ -25,7 +25,9 @@ the sideband transfer is T(w) = 2*kappa*(-i*w - M)^(-1) - 1 and the
 symmetrized vacuum input covariance is C = [[0, 1/2], [1/2, 0]].  Quadrature
 spectra are normalized to shot noise = 1; because the only port is lossless
 and the drift reactive, the output state stays pure and
-S_min(w) * S_max(w) = 1.
+S_min(w) * S_max(w) = 1.  Only a stable drift has spectra: the one check of
+that, ``FluctuationModel.require_stable``, gates the spectra, the oracle and
+the command line alike, so all refuse an unstable model with one message.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ class FluctuationModel:
     def is_stable(self) -> bool:
         return self.stability_margin < 0.0
 
+    def require_stable(self) -> None:
+        """Raise ``UnstableModelError`` unless the drift is stable."""
+        if not self.is_stable:
+            branch = ("" if self.steady_ref is None
+                      else f" on branch {self.steady_ref.branch_index}")
+            raise UnstableModelError(
+                f"{self.mode_label}-mode fluctuations unstable{branch} "
+                f"(margin {self.stability_margin:.4g} rad/s)")
+
 
 def drift_x_nonlinear(a: complex, alpha_in: complex, params: PhysicalParams,
                       delta_c: float) -> complex:
@@ -119,7 +130,7 @@ def drift_y_nonlinear(b: complex, alpha_x: complex, params: PhysicalParams,
     c = kerr_coefficient(params)
     return (-(params.kappa + 1j * (delta_c - d0)) * b
             - 1j * d0 * (c / 2.0)
-            * (2.0 * abs(alpha_x) ** 2 * b
+            * (2.0 * (abs(alpha_x) * abs(alpha_x)) * b
                - alpha_x * alpha_x * b.conjugate()))
 
 
@@ -148,8 +159,9 @@ def _transfer_entries(model: FluctuationModel, omega):
     m11, m12 = model.m11, model.m12
     a11 = -1j * omega - m11                     # (-iw - M)[0,0]
     a22 = -1j * omega - m11.conjugate()
-    det = a11 * a22 - abs(m12) ** 2
-    scale = abs(a11) * abs(a22) + abs(m12) ** 2
+    coupling = abs(m12)
+    det = a11 * a22 - coupling * coupling
+    scale = abs(a11) * abs(a22) + coupling * coupling
     if np.any(np.abs(det) <= 1e-14 * scale):
         raise SingularTransferError(
             "sideband transfer is singular (marginally stable point)")
@@ -168,13 +180,6 @@ def transfer(model: FluctuationModel, omega: float) -> np.ndarray:
                      [complex(t21), complex(t22)]])
 
 
-def _require_stable(model: FluctuationModel) -> None:
-    if not model.is_stable:
-        raise UnstableModelError(
-            f"{model.mode_label}-mode drift is unstable "
-            f"(margin {model.stability_margin:.3g} rad/s)")
-
-
 def quadrature_spectrum(model: FluctuationModel, omega: float,
                         theta: float) -> float:
     """Shot-noise-normalized spectrum of the quadrature at phase ``theta``.
@@ -183,7 +188,7 @@ def quadrature_spectrum(model: FluctuationModel, omega: float,
     u_theta = (e^{-i*theta}, e^{+i*theta}); the result must be real up to a
     tiny residue, which is checked before it is discarded.
     """
-    _require_stable(model)
+    model.require_stable()
     u = np.array([cmath.exp(-1j * theta), cmath.exp(1j * theta)])
     value = u @ transfer(model, omega) @ C_SYM @ transfer(model, -omega).T @ u
     if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
@@ -200,8 +205,7 @@ def _phase_quadratic(model: FluctuationModel, omega):
     """
     t11p, t12p, _, _ = _transfer_entries(model, omega)
     t11m, t12m, _, _ = _transfer_entries(model, -np.asarray(omega, dtype=float))
-    iso = 0.5 * (np.abs(t11p) ** 2 + np.abs(t11m) ** 2
-                 + np.abs(t12p) ** 2 + np.abs(t12m) ** 2)
+    iso = 0.5 * sum(np.abs(t) * np.abs(t) for t in (t11p, t11m, t12p, t12m))
     conj = t11p * t12m + t12p * t11m
     return iso, conj
 
@@ -223,7 +227,7 @@ def min_max_spectrum(model: FluctuationModel,
     theta_min = arg(b)/2 + pi/2, folded into (-pi/2, pi/2].  A flat spectrum
     reports theta_min = 0 by convention.
     """
-    _require_stable(model)
+    model.require_stable()
     iso, conj = _phase_quadratic(model, float(omega))
     iso = float(iso)
     amp = abs(complex(conj))
@@ -270,7 +274,7 @@ def noise_spectrum(model: FluctuationModel, omega_grid,
     Uses the sinusoidal phase decomposition; agrees with
     :func:`quadrature_spectrum` pointwise (tested), just faster on grids.
     """
-    _require_stable(model)
+    model.require_stable()
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     theta = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     iso, conj = _phase_quadratic(model, omega)

@@ -250,7 +250,8 @@ def drive_for_intensity(params: PhysicalParams, delta_c: float,
     """Incident photon flux P that sustains intracavity intensity I."""
     d0 = linear_dephasing(params)
     det = delta_c - d0 + d0 * kerr_coefficient(params) * intensity
-    return intensity * (params.kappa ** 2 + det ** 2) / (2.0 * params.kappa)
+    return (intensity * (params.kappa * params.kappa + det * det)
+            / (2.0 * params.kappa))
 
 
 def turning_points(params: PhysicalParams,
@@ -268,7 +269,7 @@ def turning_points(params: PhysicalParams,
     if slope == 0.0:
         return []
     dl = delta_c - d0
-    disc = dl ** 2 - 3.0 * params.kappa ** 2
+    disc = dl * dl - 3.0 * (params.kappa * params.kappa)
     if disc < 0.0:
         return []
     sq = math.sqrt(disc)

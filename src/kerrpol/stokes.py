@@ -39,7 +39,7 @@ UNCERTAINTY_SLACK = 1e-6
 
 def stokes_means(alpha_x: complex) -> tuple[float, float, float, float]:
     """Mean Stokes vector (S0, S1, S2, S3) for x-polarized light, flux units."""
-    intensity = abs(alpha_x) ** 2
+    intensity = abs(alpha_x) * abs(alpha_x)
     return (intensity, intensity, 0.0, 0.0)
 
 
@@ -81,20 +81,19 @@ class StokesRecord:
 def stokes_noise(spectrum_y: NoiseSpectrum, alpha_x: complex) -> list[StokesRecord]:
     """Map the orthogonal-mode spectrum onto Stokes records, one per omega.
 
-    Requires the orthogonal-mode spectrum, covering theta = 0 and
-    theta = pi/2 (phases relative to the mean field).
+    Reads the orthogonal-mode spectrum at theta = 0 and pi/2 (relative to the
+    mean field) and scales it to flux units by S0 of :func:`stokes_means`.
     """
     if spectrum_y.mode_label != "y":
         raise ValidationError("S2/S3 noise reads the orthogonal-mode spectrum")
-    intensity = abs(alpha_x) ** 2
+    means = stokes_means(alpha_x)
     s2 = spectrum_y.at_theta(0.0)
     s3 = spectrum_y.at_theta(math.pi / 2.0)
-    means = stokes_means(alpha_x)
     return [
         StokesRecord(
             mean_s0=means[0], mean_s1=means[1], mean_s2=means[2],
             mean_s3=means[3],
-            v_s2=intensity * float(a), v_s3=intensity * float(b),
+            v_s2=means[0] * float(a), v_s3=means[0] * float(b),
             v_s2_norm=float(a), v_s3_norm=float(b),
             omega=float(w))
         for w, a, b in zip(spectrum_y.omega, s2, s3)

@@ -360,8 +360,60 @@ def test_validate_prints_model_validity_warnings(capsys):
     # at |delta| < 10 gamma the dispersive expansion is flagged, not refused
     assert cli.main(["validate"]) == 0
     assert "warning:" not in capsys.readouterr().out
-    assert cli.cmd_validate(replace(cli.RunConfig(), delta_mhz=-20.0)) == 0
+    wide = replace(cli.RunConfig(), gamma_perp_mhz=3.0, gamma_par_mhz=3.0,
+                   gamma_mhz=6.0)              # |delta| = 50 MHz < 60 MHz
+    assert cli.cmd_validate(wide) == 0
     assert "warning: model-validity" in capsys.readouterr().out
+
+
+def test_one_stability_gate_one_message(tmp_path, capsys):
+    # FluctuationModel.require_stable is the only stability check: the
+    # spectra, the oracle and every command refuse one unstable model alike
+    cfg = replace(cli.RunConfig(), delta_c_mhz=-210.0)
+    params = cli.build_params(cfg)
+    model = kp.build_drift_y(cli.select_branch(cfg, params), params)
+    traj = kp.TrajectoryConfig(dt=5e-11, duration=1e-7, seed=1)
+    texts = set()
+    for call in (lambda: kp.noise_spectrum(model, [1.0], [0.0]),
+                 lambda: kp.min_max_spectrum(model, 1.0),
+                 lambda: kp.quadrature_spectrum(model, 1.0, 0.0),
+                 lambda: kp.simulate(model, traj),
+                 lambda: kp.oracle_psd(model, traj, 256)):
+        with pytest.raises(kp.UnstableModelError) as info:
+            call()
+        texts.add(str(info.value))
+    margin = f"(margin {model.stability_margin:.4g} rad/s)"
+    (text,) = texts
+    assert text == f"y-mode fluctuations unstable on branch 0 {margin}"
+    with pytest.raises(kp.UnstableModelError) as info:
+        replace(model, steady_ref=None).require_stable()
+    assert str(info.value) == f"y-mode fluctuations unstable {margin}"
+    path = write_config(tmp_path, "delta_c_mhz = -210.0")
+    for command in ("spectrum", "stokes", "oracle", "validate"):
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {text}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["branch = 1", "delta_mhz = -20.0"])
+def test_validate_refuses_operating_points_no_command_runs(tmp_path, capsys,
+                                                           line):
+    # validate selects the branch and gates both modes, so it fails exactly
+    # as spectrum, stokes and oracle do, before printing "configuration ok"
+    # (the unstable delta_c_mhz = -210.0 is in the test above)
+    path = write_config(tmp_path, line, *FAST_ORACLE)
+    errors = set()
+    for command in ("validate", "spectrum", "stokes", "oracle"):
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    (error,) = errors
+    assert error.startswith("numerical failure: ") and error.count("\n") == 1
 
 
 def test_numeric_branch_selects_that_root():

@@ -348,14 +348,14 @@ def test_squares_are_correctly_rounded_products():
     # product x * x is correctly rounded; floats and one-element arrays must
     # both give the product's bits
     draws = np.random.default_rng(24).uniform(0.5, 2.0, 20_000).tolist()
-    misrounded = [x for x in draws if x ** 2 != x * x][:8]
+    misrounded = [x for x in draws if x ** 2 != x * x]
     if not misrounded:
         pytest.skip("x ** 2 is correctly rounded on this platform")
     # powers of two keep 2 g^2 / delta^2 exact, so a misrounded square shows
     p = replace(make_params(), g_coupling=0.5, delta=-2.0)
     kappa = p.kappa
     state = kp.SteadyState(0j, 0.0, 0.0, 0.0, 0, True, -kappa, 0j)
-    for x in misrounded:
+    for x in misrounded[:8]:
         # |m11.imag| just below |m12|: the radicand cancels, so one ulp of
         # x * x moves the margin by far more than one ulp of kappa
         y = x * (1.0 - 2.0 ** -20)
@@ -373,6 +373,11 @@ def test_squares_are_correctly_rounded_products():
             assert type(value) is float
             assert column.tolist() == [value]
             assert value == product
+    for x in misrounded:
+        # the mean Stokes intensity and the drive flux square the same way
+        intensity = replace(state, alpha_x=complex(x)).intensity
+        assert kp.stokes_means(complex(x))[0] == intensity == x * x
+        assert kp.DriveField(alpha_in=complex(x)).power == x * x
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,39 @@ from kerrpol import _kernel, oracle
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kerrpol"
 
 
+def _package_nodes():
+    """(file name, node) for every syntax-tree node of the package."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths                                    # the walk sees files
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so no runtime check may be one
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
              if isinstance(node, ast.Assert)]
-    assert sorted(p.name for p in SRC.glob("*.py"))   # the walk saw files
     assert found == []
+
+
+def test_package_squares_by_product():
+    # on floats and numpy scalars x ** 2 is C pow, one ulp off on about one
+    # float in 1,300; the product x * x is correctly rounded
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+             and isinstance(node.right, ast.Constant)
+             and node.right.value == 2]
+    assert found == []
+
+
+def test_one_stability_gate():
+    # FluctuationModel.require_stable alone refuses an unstable model, so
+    # the spectra, the oracle and every command give one message
+    sites = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Call) and ast.unparse(node.func).split(
+                 ".")[-1] == "UnstableModelError"]
+    assert len(sites) == 1 and sites[0].startswith("spectra.py:")
 
 
 def test_kernel_makes_no_blas_call():
