@@ -390,13 +390,13 @@ def cmd_scan(cfg: RunConfig) -> OutputTable:
                  "linear_polarization_stable"],
         units=["MHz", "1", "photon", "photon", "photon", "1", "photon/s",
                "photon/s", "bool", "bool"],
-        data=[grid_mhz, scan.n_branches,
-              *np.where(np.isnan(scan.intensity), None,
-                        scan.intensity).T.tolist(),
+        data=[grid_mhz, scan.n_branches, *scan.intensity.T,
               scan.selected_branch, half, half,
               scan.selected(scan.mean_field_stable),
               scan.linear_polarization_stable],
-        meta={**_base_meta(cfg), "power_uw": cfg.power_uw})
+        meta={**_base_meta(cfg), "power_uw": cfg.power_uw},
+        missing={f"intensity_branch{j}": scan.n_branches <= j
+                 for j in range(3)})
 
 
 def _build_drift(steady, params: PhysicalParams, mode: str):

@@ -244,10 +244,15 @@ class _Welch:
                 raise ValidationError(f"bins must be increasing integer "
                                       f"indices below {self.omega.size}")
             self.omega = self.omega[picked]
-            # re, im pairs of the DFT at the picked bins, as rfft gives them
-            turns = np.outer(np.arange(length), picked) % length
-            self.basis = np.exp(-2j * math.pi / length * turns).view(
-                np.float64).reshape(length, 2 * picked.size)
+            # re, im pairs of the DFT at the picked bins, as rfft gives them:
+            # each entry is one of the L twiddles exp(-2j*pi/L * t), indexed
+            # by its turn t, one column at a time (no (L, bins) temporaries)
+            steps = np.arange(length)
+            twiddles = np.exp(-2j * math.pi / length * steps)
+            basis = np.empty((length, picked.size), complex)
+            for j, k in enumerate(picked.tolist()):
+                basis[:, j] = twiddles[steps * k % length]
+            self.basis = basis.view(np.float64)
         self.window = np.hanning(length + 1)[:-1]   # periodic Hann
         self.norm = dt / np.sum(self.window * self.window)
         n_omega = self.omega.size

@@ -25,7 +25,8 @@ matrix per detuning, all in one ``eigvals`` call, gives the roots of
 ``np.roots`` bit for bit; the Newton polish and the merge run on the padded
 (n, 3) root array.  The same formulas, each square a product ``x * x``, give
 every branch's saturation and margins on arrays with the scalar bits.
-``cavity_scan`` runs this on its grid, ``steady_states`` on a grid of one.
+``cavity_scan`` runs this on its grid ``SCAN_BLOCK`` rows at a time, each
+row's bits independent of the block, and ``steady_states`` on a grid of one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .params import DriveField, PhysicalParams
 MERGE_RTOL = 1e-7
 # Acceptable steady-state residual, relative to the drive amplitude.
 RESIDUAL_RTOL = 1e-9
+# Scan rows solved, and held as Python objects by the continuation, at a time.
+SCAN_BLOCK = 16384
 
 
 def linear_dephasing(params: PhysicalParams) -> float:
@@ -329,7 +332,9 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
     The transmitted circular components each carry half of the driven-mode
     output photon flux 2*kappa*I while the linear polarization is stable.
     The branches come from the columnar solve ``steady_states`` runs on a
-    grid of one; only the continuation runs point by point.
+    grid of one, here ``SCAN_BLOCK`` rows at a time, so the memory beyond
+    the result's columns is set by the block; only the continuation runs
+    point by point, through one block's rows at a time.
     """
     grid = np.array(delta_c_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -337,15 +342,21 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
     steps = np.diff(grid)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValidationError("detuning grid must be strictly monotone")
-    counts, roots, intensity, _, stable, margin = _branch_columns(
-        params, drive.power, grid)
-    selected, previous = [], None
-    for n, levels, flags in zip(counts.tolist(), intensity.tolist(),
-                                stable.tolist()):
-        candidates = [j for j in range(n) if flags[j]] or list(range(n))
-        j = candidates[0] if previous is None else min(   # first: the lowest
-            candidates, key=lambda j: abs(levels[j] - previous))
-        previous = levels[j]
-        selected.append(j)
+    counts, selected = np.empty((2, grid.size), dtype=int)
+    roots, intensity, margin = np.empty((3, grid.size, 3))
+    stable, previous = np.empty((grid.size, 3), dtype=bool), None
+    for start in range(0, grid.size, SCAN_BLOCK):
+        rows, picks = slice(start, start + SCAN_BLOCK), []
+        counts[rows], roots[rows], intensity[rows], _, stable[rows], \
+            margin[rows] = _branch_columns(params, drive.power, grid[rows])
+        for n, levels, flags in zip(counts[rows].tolist(),
+                                    intensity[rows].tolist(),
+                                    stable[rows].tolist()):
+            candidates = [j for j in range(n) if flags[j]] or list(range(n))
+            j = candidates[0] if previous is None else min(  # first: lowest
+                candidates, key=lambda j: abs(levels[j] - previous))
+            previous = levels[j]
+            picks.append(j)
+        selected[rows] = picks
     return ScanResult(params, grid, counts, roots, intensity, stable, margin,
-                      np.array(selected))
+                      selected)

@@ -1,15 +1,18 @@
 """Deterministic tabular output: CSV with a #-metadata header, JSON mirror.
 
-A table is held as columns, each of one type plus ``None`` (a missing cell),
-and each column is rendered whole, a block of rows at a time: floats with
-``repr`` (shortest round-trip form), once per distinct bit pattern of the
-block and indexed back to the cells, ints with ``str``, bools as
-``true``/``false``, strings as CSV fields or JSON strings, ``None`` as an
-empty field or ``null``.  CSV lines are the columns' texts zipped together,
-and the JSON text equals ``json.dumps(..., indent=2)`` of the same rows.
-Metadata never includes timestamps, so identical inputs give byte-identical
-files.  A NaN or infinity never reaches a file: building the table raises
-``NumericalError``.
+A table is held as columns, each of one type plus missing cells (``None``
+in a list, or an explicit mask), and is rendered a block of rows at a time,
+each block bounded by its cell count (rows x columns): floats with ``repr``
+(shortest round-trip form), once per distinct bit pattern within each block
+of cells and indexed back to the cells, ints with ``str``, bools as
+``true``/``false``, strings as CSV fields or JSON strings, a missing cell
+as an empty field or ``null``.  CSV lines are the columns' texts zipped
+together, and the JSON text equals ``json.dumps(..., indent=2)`` of the
+same rows.  A file is written block by block into its temporary name, so
+no whole text is held; ``to_csv_text`` and ``to_json_text`` join the same
+blocks.  Metadata never includes timestamps, so identical inputs give
+byte-identical files.  A NaN or infinity never reaches a file: building
+the table raises ``NumericalError``, unless the cell is masked missing.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 _NULL = {"csv": "", "json": "null"}
-_BLOCK_ROWS = 4096    # rows rendered per pass: bounds the cell texts held
+_BLOCK_CELLS = 16384  # cells rendered per pass: bounds the cell texts held
 
 
 def _csv_field(text: str) -> str:
@@ -33,27 +36,36 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if quote else text
 
 
-def _column(name: str, values) -> tuple:
+def _column(name: str, values, missing=None) -> tuple:
     """(kind, values, missing): a typed array, or a list for kind 'U'
-    (strings), and the mask of the None cells, or None if there are none."""
-    missing = None
+    (strings), and the mask of the missing cells, those that are None or
+    set in ``missing``, or None if there are none."""
+    if missing is not None:
+        missing = np.asarray(missing)
+        if missing.dtype != bool or np.ndim(values) != 1 \
+                or missing.shape != (len(values),):
+            raise ValidationError(
+                f"missing mask of {name!r} is not one bool per cell")
     if isinstance(values, (list, tuple)):
-        missing = np.array([v is None for v in values], dtype=bool)
+        none = np.array([v is None for v in values], dtype=bool)
+        missing = none if missing is None else none | missing
         present = [v for v in values if v is not None]
         if present and all(map(isinstance, present, repeat(str))):
             return "U", [v or "" for v in values], \
                 missing if missing.any() else None
-        values = np.zeros(len(missing), np.asarray(present).dtype)
-        values[~missing] = present
-        missing = missing if missing.any() else None
+        values = np.zeros(len(none), np.asarray(present).dtype)
+        values[~none] = present
     values = np.asarray(values)
     if values.dtype.kind not in "fiub":
         raise ValidationError(f"cannot write column {name!r} of {values.dtype}")
-    if values.dtype.kind == "f" and not np.isfinite(values).all():
+    if values.dtype.kind == "f" and not (
+            np.isfinite(values) if missing is None
+            else np.isfinite(values) | missing).all():
         raise NumericalError(f"refusing to write non-finite values in {name!r}")
     if values.ndim != 1:
         raise ValidationError(f"column {name!r} is not one-dimensional")
-    return values.dtype.kind, values, missing
+    return values.dtype.kind, values, \
+        missing if missing is not None and missing.any() else None
 
 
 def _texts(column: tuple, fmt: str, rows: slice) -> list[str]:
@@ -89,15 +101,22 @@ def finite_json(payload) -> str:
 
 class OutputTable:
     """Rectangular table with per-column units and metadata; the cells come
-    as ``data``, one sequence per column."""
+    as ``data``, one sequence per column, and ``missing`` maps a column's
+    name to the bool mask of its missing cells."""
 
     def __init__(self, name: str, columns: list[str], units: list[str],
-                 data, meta: dict | None = None) -> None:
+                 data, meta: dict | None = None,
+                 missing: dict | None = None) -> None:
         if len(columns) != len(units):
             raise ValidationError("every column needs a declared unit")
         self.name, self.columns, self.units = name, list(columns), list(units)
         self.data, self.meta = list(data), dict(meta or {})
-        self._columns = [_column(c, v) for c, v in zip(columns, self.data)]
+        missing = dict(missing or {})
+        if not set(missing) <= set(self.columns):
+            raise ValidationError(f"missing masks name no column: "
+                                  f"{sorted(set(missing) - set(self.columns))}")
+        self._columns = [_column(c, v, missing.get(c))
+                         for c, v in zip(columns, self.data)]
         if len(self.data) != len(columns) or \
                 len({len(c[1]) for c in self._columns}) > 1:
             raise ValidationError("columns of unequal length or number")
@@ -105,66 +124,99 @@ class OutputTable:
 
     @property
     def rows(self) -> list[tuple]:
-        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                          for c in self.data)))
+        """The cells row by row, None where missing."""
+        columns = []
+        for cells, (_, _, missing) in zip(self.data, self._columns):
+            cells = cells.tolist() if isinstance(cells, np.ndarray) \
+                else list(cells)
+            if missing is not None:
+                for i in np.flatnonzero(missing).tolist():
+                    cells[i] = None
+            columns.append(cells)
+        return list(zip(*columns))
 
     def _blocks(self, fmt: str, cell_sep: str, row_sep: str,
-                prefix: str = "", suffix: str = "") -> list[str]:
+                prefix: str = "", suffix: str = ""):
+        """Texts of the rows, one per block of at most ``_BLOCK_CELLS``
+        cells (at least one row)."""
         n = len(self._columns[0][1]) if self._columns else 0
-        blocks = []
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
+        step = max(1, _BLOCK_CELLS // max(1, len(self._columns)))
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
             cells = [_texts(c, fmt, rows) for c in self._columns]
             if fmt == "csv" and len(cells) == 1:   # a lone empty field
                 cells = [[t or '""' for t in cells[0]]]   # must be quoted
-            blocks.append(prefix + row_sep.join(map(cell_sep.join,
-                                                    zip(*cells))) + suffix)
-        return blocks
+            text = prefix + row_sep.join(map(cell_sep.join,
+                                             zip(*cells))) + suffix
+            del cells                # one block's texts held at a time
+            yield text
+            del text
 
-    def to_csv_text(self) -> str:
+    def _csv_blocks(self):
+        """The CSV text in pieces, rendered one block of cells at a time."""
         lines = [f"# table: {self.name}"]
         lines += [f"# {k}: {_texts(c, 'csv', slice(None))[0]}"
                   for k, c in self._meta.items()]
         lines.append("# units: " + ",".join(self.units))
         lines.append(",".join(map(_csv_field, self.columns)) or '""')
-        return "\n".join(lines + self._blocks("csv", ",", "\n")) + "\n"
+        yield "\n".join(lines)
+        for block in self._blocks("csv", ",", "\n"):
+            yield "\n"
+            yield block
+        yield "\n"
 
-    def to_json_text(self) -> str:
-        head = finite_json({
+    def _json_blocks(self):
+        """The JSON text in pieces, rendered one block of cells at a time."""
+        yield finite_json({
             "table": self.name,
             "meta": {k: v.item() if isinstance(v, np.generic) else v
                      for k, v in self.meta.items()},
             "columns": self.columns, "units": self.units,
         })[:-3] + ',\n  "rows": '
-        blocks = self._blocks("json", ",\n      ", "\n    ],\n    [\n      ",
-                              "    [\n      ", "\n    ]")
-        if not blocks:
-            return head + "[]\n}\n"
-        blocks[0] = head + "[\n" + blocks[0]      # no copy of the whole text
-        blocks[-1] += "\n  ]\n}\n"
-        return ",\n".join(blocks)
+        opening = "[\n"
+        for block in self._blocks("json", ",\n      ",
+                                  "\n    ],\n    [\n      ",
+                                  "    [\n      ", "\n    ]"):
+            yield opening
+            yield block
+            opening = ",\n"
+        yield "[]\n}\n" if opening == "[\n" else "\n  ]\n}\n"
+
+    def to_csv_text(self) -> str:
+        return "".join(self._csv_blocks())
+
+    def to_json_text(self) -> str:
+        return "".join(self._json_blocks())
 
     def write(self, directory, fmt: str, *more: OutputTable) -> list[str]:
         """Write this table and ``more`` under ``directory`` as <name>.<fmt>,
-        all rendered first, then written all or none; returns the paths."""
+        each rendered into its temporary name block by block, all or none;
+        returns the paths."""
         if fmt not in ("csv", "json"):
             raise ValidationError(f"unknown output format {fmt!r}")
-        files = [(f"{t.name}.{fmt}", t.to_csv_text() if fmt == "csv"
-                  else t.to_json_text()) for t in (self, *more)]
-        return write_files(directory, files)
+        return write_files(directory, [
+            (f"{t.name}.{fmt}",
+             t._csv_blocks() if fmt == "csv" else t._json_blocks())
+            for t in (self, *more)])
 
 
 def write_files(directory, files) -> list[str]:
     """Write each (name, text) of ``files`` under ``directory``, LF endings,
-    all or none: the texts go to temporary names, renamed into place only
-    once all were written.  Returns the paths."""
+    all or none.  A text is a ``str`` or an iterable of ``str`` blocks,
+    written one block at a time, so a text rendered lazily is never held
+    whole.  The texts go to temporary names, renamed into place only once
+    all were written; a failure, in a write or in rendering a block, leaves
+    no new file and no temporary.  Returns the paths."""
     os.makedirs(directory, exist_ok=True)
     paths = [os.path.join(directory, name) for name, _ in files]
     temps = [f"{p}.{os.getpid()}-{threading.get_ident()}.tmp" for p in paths]
     try:
         for temp, (_, text) in zip(temps, files):
             with open(temp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                if isinstance(text, str):
+                    fh.write(text)
+                else:
+                    fh.writelines(text)
         for path in filter(os.path.isdir, paths):    # would stop a rename
             raise IsADirectoryError(f"cannot replace directory {path!r}")
         for temp, path in zip(temps, paths):

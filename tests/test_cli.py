@@ -741,6 +741,19 @@ def test_write_files_failing_mid_write_leaves_nothing(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
     assert (tmp_path / "a.csv").read_text() == "1,2\n"
 
+    # a text given as blocks is rendered while it is written: a block that
+    # fails partway through the second file leaves no new file, no
+    # temporary and the old file as it was
+    def blocks():
+        yield "3,4\n" * 5000
+        raise kp.NumericalError("block failed")
+
+    with pytest.raises(kp.NumericalError, match="block failed"):
+        write_files(str(tmp_path), [("c.csv", iter(["5,", "6\n"])),
+                                    ("a.csv", blocks())])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+    assert (tmp_path / "a.csv").read_text() == "1,2\n"
+
 
 def test_empty_out_dir_rejected_with_line_number(tmp_path, capsys):
     path = write_config(tmp_path, "out_dir =")

@@ -449,6 +449,20 @@ def test_picked_bins_equal_the_full_estimate_rows(
         model, cfg, segment_length, overlap, bins)), picked)
 
 
+@pytest.mark.parametrize("length", [7, 3000, 4096, 16384])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+def test_picked_bin_basis_is_the_direct_dft_bit_for_bit(length, dtype):
+    # the basis takes each entry from a table of the L twiddles, so every
+    # bit equals exp(-2j*pi/L * turn) evaluated at that entry
+    picked = np.unique(np.linspace(0, length // 2, 12).round()).astype(dtype)
+    welch = oracle._Welch(4 * length, (0.0,), 1.0, length, 0.5, bins=picked)
+    turns = np.outer(np.arange(length), picked) % length
+    direct = np.exp(-2j * math.pi / length * turns).view(np.float64)
+    assert welch.basis.shape == direct.shape
+    assert welch.basis.view(np.uint64).tobytes() == \
+        direct.view(np.uint64).tobytes()
+
+
 def test_picked_bins_make_no_fft_and_ignore_the_chunking(monkeypatch):
     def full_fft(*args, **kwargs):
         raise AssertionError("picked bins need no full FFT")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrpol as kp
+from kerrpol import steady
 
 import scan_reference
 from conftest import make_params, steady_at
@@ -692,3 +693,29 @@ def test_scan_flags_at_the_stability_thresholds(mode, delta0):
     # the y margin crosses zero within rounding; the x margin at a fold
     # only to where the merged roots part
     assert closest <= (1e-6 if mode == "x" else 1e-12) * kappa
+
+
+def test_scan_blocks_carry_the_continuation(monkeypatch):
+    # the scan solves and continues SCAN_BLOCK rows at a time; with a small
+    # block the bistable window spans block boundaries, and the branch the
+    # continuation follows across each, up the window and down it, must be
+    # the per-record scan's
+    p = make_params(delta0=-8.0)
+    d0 = kp.linear_dephasing(p)
+    power = 1.2 / (kp.kerr_coefficient(p) * abs(d0))
+    drive = kp.DriveField.from_power(power)
+    grids = (np.linspace(d0 - 6.0, d0 + 6.0, 2401),
+             np.linspace(d0 + 6.0, d0 - 6.0, 2401))
+    references = [scan_reference.cavity_scan(p, drive, g) for g in grids]
+    for block in 1, 7, 64, 100:
+        monkeypatch.setattr(steady, "SCAN_BLOCK", block)
+        picked = []
+        for grid, reference in zip(grids, references):
+            scan = kp.cavity_scan(p, drive, grid)
+            three = scan.n_branches == 3
+            assert (three[block - 1:-1:block] & three[block::block]).any()
+            assert_scan_equals_reference(scan, reference, drive)
+            picked.append(dict(zip(grid[three].tolist(),
+                                   scan.selected_branch[three].tolist())))
+        # hysteresis: the two directions follow different branches
+        assert any(picked[1][d] != j for d, j in picked[0].items())

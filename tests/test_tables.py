@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,6 +107,23 @@ def test_columnar_table_renders_each_cell_kind():
         '1.5,2,true,,"a,b"', '-0.0,-3,false,x,"q"""']
 
 
+def test_masked_cells_are_missing_and_only_they_may_be_non_finite():
+    values = np.array([1.5, np.nan, -0.0, np.inf])
+    table = OutputTable("t", ["a", "k"], ["1", "1"],
+                        data=[values, [1, 2, 3, 4]],
+                        missing={"a": ~np.isfinite(values)})
+    assert table.rows == [(1.5, 1), (None, 2), (-0.0, 3), (None, 4)]
+    assert table.to_csv_text().splitlines()[-4:] == ["1.5,1", ",2", "-0.0,3",
+                                                     ",4"]
+    assert json.loads(table.to_json_text())["rows"][1] == [None, 2]
+    for missing, error in (({"a": np.isnan(values)}, kp.NumericalError),
+                           ({"b": np.isnan(values)}, kp.ValidationError),
+                           ({"a": np.isnan(values[:3])}, kp.ValidationError),
+                           ({"a": np.isnan(values) * 1}, kp.ValidationError)):
+        with pytest.raises(error):
+            OutputTable("t", ["a"], ["1"], data=[values], missing=missing)
+
+
 @st.composite
 def float_columns(draw):
     """A float64 or float32 column, with few distinct values or many, past
@@ -118,9 +138,9 @@ def float_columns(draw):
                           max_size=30))
     pool = np.array(special + drawn, dtype=dtype)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n_rows = draw(st.sampled_from([0, 1, 7, tables_module._BLOCK_ROWS,
-                                   tables_module._BLOCK_ROWS + 1,
-                                   2 * tables_module._BLOCK_ROWS + 5]))
+    block = tables_module._BLOCK_CELLS // 2    # rows of the two-column table
+    n_rows = draw(st.sampled_from([0, 1, 7, block, block + 1,
+                                   2 * block + 5]))
     values = pool[rng.integers(0, draw(st.integers(1, pool.size)), n_rows)]
     if draw(st.booleans()):
         return values
@@ -140,6 +160,71 @@ def test_each_float_cell_renders_as_its_own_repr(column):
     assert csv_rows == [f"{c or ''},{i}" for i, c in enumerate(cells)]
     rows = json.loads(table.to_json_text(), parse_float=str)["rows"]
     assert rows == [[c, i] for i, c in enumerate(cells)]
+
+
+@st.composite
+def streamed_tables(draw):
+    """(cells, table): a block bound of ``cells`` cells and a table of 1-3
+    columns whose row count is 0, 1 or next to a multiple of its block."""
+    n_columns = draw(st.integers(1, 3))
+    cells = draw(st.sampled_from([1, 5, 12]))
+    block = max(1, cells // n_columns)
+    n_rows = draw(st.sampled_from([0, 1, block - 1, block, block + 1,
+                                   2 * block + 1]))
+    data, missing = [], {}
+    for i in range(n_columns):
+        kind = draw(st.sampled_from(["str", "float", "masked"]))
+        if kind == "str":    # quotes, commas, line breaks and empty texts
+            cell = st.one_of(st.none(), st.text('a,"\n-', max_size=4))
+        else:
+            cell = st.one_of(st.none(), st.sampled_from([-0.0, 0.0]), FLOATS)
+        column = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+        if kind == "masked":     # a float array, NaN under its missing mask
+            missing[f"c{i}"] = np.array([v is None for v in column], bool)
+            column = np.array([np.nan if v is None else v for v in column],
+                              dtype=float)
+        data.append(column)
+    return cells, OutputTable("t", [f"c{i}" for i in range(n_columns)],
+                              ["1"] * n_columns, data=data, missing=missing,
+                              meta={"seed": 3})
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=streamed_tables(), fmt=st.sampled_from(["csv", "json"]))
+def test_streamed_file_equals_the_joined_text(drawn, fmt):
+    # write renders each file block by block into its temporary name; the
+    # file must hold the bytes of the text rendered in one block
+    cells, table = drawn
+    render = table.to_csv_text if fmt == "csv" else table.to_json_text
+    text = render()              # at most 7 rows: one block of the default
+    with mock.patch.object(tables_module, "_BLOCK_CELLS", cells), \
+            tempfile.TemporaryDirectory() as out:
+        [path] = table.write(out, fmt)
+        with open(path, "rb") as fh:
+            assert fh.read() == text.encode()
+        assert render() == text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_memory_does_not_grow_with_the_table(tmp_path, fmt):
+    # numpy reports its buffers to tracemalloc: a write holds the cell texts
+    # of one block, never a whole file's text, so its peak above what the
+    # table already holds is the same at N and at 4N rows
+    def peak(n_rows):
+        rng = np.random.default_rng(5)
+        table = OutputTable("t", ["x", "k"], ["1", "1"],
+                            data=[rng.standard_normal(n_rows),
+                                  np.arange(n_rows)])
+        tracemalloc.start()
+        try:
+            table.write(tmp_path, fmt)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n_rows = 2 * (tables_module._BLOCK_CELLS // 2) + 100   # past two blocks
+    small, large = peak(n_rows), peak(4 * n_rows)
+    assert large < 1.2 * small
 
 
 @pytest.mark.parametrize("data, error", [

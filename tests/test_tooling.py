@@ -45,6 +45,33 @@ def test_one_stability_gate():
     assert len(sites) == 1 and sites[0].startswith("spectra.py:")
 
 
+def test_files_are_opened_for_writing_only_in_write_files():
+    # every output goes through tables.write_files, which writes temporary
+    # names and renames them into place all or none
+    writers = {"write_text", "write_bytes", "tofile", "savetxt", "save",
+               "savez", "fdopen", "mkstemp", "NamedTemporaryFile"}
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func)
+                last = name.split(".")[-1]
+                mode = next((k.value for k in node.keywords
+                             if k.arg == "mode"), None) or (
+                    node.args[1] if len(node.args) > 1 else ast.Constant("r"))
+                opens = last == "open" and (
+                    name == "os.open" or not isinstance(mode, ast.Constant)
+                    or bool(set(str(mode.value)) & set("wax+")))
+                if opens or last in writers:
+                    sites.append((path.name, func.name))
+    # nested functions see the call too: each site names its function
+    assert sorted(set(sites)) == [("tables.py", "write_files")]
+
+
 def test_kernel_makes_no_blas_call():
     # matrix products and linalg may go through a threaded BLAS; the kernel
     # stays elementwise so its bits do not depend on the thread count
