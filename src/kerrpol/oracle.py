@@ -23,7 +23,10 @@ segment scatter.  They come from the 2x2 cross-spectral periodogram of the
 pair: with A, B the segment FFTs of X_0, X_pi/2, the periodogram of X_theta
 is cos^2 |A|^2 + sin^2 |B|^2 + sin(2 theta) Re(A conj(B)), so one FFT per
 segment serves every angle and X_theta is never formed.  Asked for a few
-bins, Welch forms only those, one matrix product per batch of segments.
+bins, Welch forms only those: the Hann window is even, so each segment is
+folded into the sums and differences of its samples t and L - t, and two
+matrix products per batch of segments, with the windowed cos and -sin
+bases of half a segment's length, give the bins' real and imaginary parts.
 
 The per-step recursion runs in ``_kernel``, a numpy block scan that writes
 the pair over its (n, 2) noise buffer, one chunk of CHUNK steps per call; its
@@ -49,7 +52,7 @@ from .errors import ValidationError
 from .spectra import FluctuationModel, NoiseSpectrum
 
 MAX_STEP_FRACTION = 0.1   # dt * |m11| above this is too coarse to trust
-CHUNK = 1 << 17   # steps per kernel call, whole blocks; sets the scratch size
+CHUNK = 1 << 16   # steps per kernel call, whole blocks; sets the scratch size
 # Welch transforms up to BATCH_SEGMENTS segments per FFT call, fewer when
 # they would exceed BATCH_SAMPLES samples, never fewer than one: few calls
 # per segment keep the helper thread's interpreter-lock handoffs with the
@@ -214,7 +217,9 @@ class _Welch:
     They go through the FFT in fixed groups of ``batch``
     consecutive segments, and the groups' moments are added in order, so
     the sums do not depend on how the rows are split.  With ``bins``, only
-    those bins are formed, by a cos/-sin basis in place of the FFT.
+    those bins are formed, in place of the FFT: each segment is folded
+    about its middle and multiplied by two windowed bases, cos for the
+    real parts and -sin for the imaginary ones, of L//2 rows each.
     """
 
     def __init__(self, n: int, thetas, dt: float, segment_length: int,
@@ -234,8 +239,13 @@ class _Welch:
         self.length = length
         self.thetas = np.asarray(thetas, dtype=float)
         self.omega = welch_omega(length, dt)
-        self.basis = None
-        if bins is not None:
+        self.window = np.hanning(length + 1)[:-1]   # periodic Hann
+        self.norm = dt / np.sum(self.window * self.window)
+        self.batch = max(1, min(BATCH_SEGMENTS, BATCH_SAMPLES // length))
+        self.bases = None
+        if bins is None:
+            self.segs = np.empty((self.batch, 2, length))   # windowed, pending
+        else:
             picked = np.asarray(bins)
             if not (picked.ndim == 1 and picked.size > 0
                     and picked.dtype.kind in "iu"
@@ -244,20 +254,23 @@ class _Welch:
                 raise ValidationError(f"bins must be increasing integer "
                                       f"indices below {self.omega.size}")
             self.omega = self.omega[picked]
-            # re, im pairs of the DFT at the picked bins, as rfft gives them:
-            # each entry is one of the L twiddles exp(-2j*pi/L * t), indexed
-            # by its turn t, one column at a time (no (L, bins) temporaries)
+            # the window is even, w_t = w_{L-t}, with w_0 = 0, so over
+            # t = 1..L//2, Re X(k) = sum (x_t + x_{L-t}) w_t cos(2 pi k t/L)
+            # and Im X(k) = sum (x_t - x_{L-t}) w_t (-sin(2 pi k t/L)).  Each
+            # basis entry is w_t times one of the L twiddles
+            # exp(-2j*pi/L * turn) at its turn t*k mod L, built one column
+            # at a time (no (L, bins) temporaries)
             steps = np.arange(length)
             twiddles = np.exp(-2j * math.pi / length * steps)
-            basis = np.empty((length, picked.size), complex)
+            half = steps[1:length // 2 + 1]
+            window = self.window[half]
+            self.bases = np.empty((2, half.size, picked.size))  # re, im
             for j, k in enumerate(picked.tolist()):
-                basis[:, j] = twiddles[steps * k % length]
-            self.basis = basis.view(np.float64)
-        self.window = np.hanning(length + 1)[:-1]   # periodic Hann
-        self.norm = dt / np.sum(self.window * self.window)
+                column = window * twiddles[half * k % length]
+                self.bases[:, :, j] = column.real, column.imag
+            # folded, pending: the unpaired x_{L/2}'s difference stays 0
+            self.segs = np.zeros((2, self.batch, 2, half.size))
         n_omega = self.omega.size
-        self.batch = max(1, min(BATCH_SEGMENTS, BATCH_SAMPLES // length))
-        self.segs = np.empty((self.batch, 2, length))   # windowed, pending
         self.pending = 0
         self.products = np.empty((self.batch, 2 * n_omega))
         self.moments = np.empty((self.batch, 3, n_omega))   # a, b, r
@@ -285,25 +298,43 @@ class _Welch:
                      rows[nxt:].copy())
 
     def _add(self, windows: np.ndarray) -> None:
-        """Window the segments ``windows`` (k, 2, length) into the group."""
+        """Window or fold the segments ``windows`` (k, 2, length) into the
+        pending group."""
         done = 0
         while done < len(windows):
             take = min(self.batch - self.pending, len(windows) - done)
-            np.multiply(windows[done:done + take], self.window,
-                        out=self.segs[self.pending:self.pending + take])
+            part = windows[done:done + take]
+            into = slice(self.pending, self.pending + take)
+            if self.bases is None:
+                np.multiply(part, self.window, out=self.segs[into])
+            else:           # x_t with x_{L-t}; x_{L/2} alone if L is even
+                pairs = (self.length - 1) // 2
+                ahead = part[..., 1:pairs + 1]
+                behind = part[..., :-pairs - 1:-1]
+                np.add(ahead, behind, out=self.segs[0, into, :, :pairs])
+                np.subtract(ahead, behind, out=self.segs[1, into, :, :pairs])
+                self.segs[0, into, :, pairs:] = part[
+                    ..., pairs + 1:self.length - pairs]
             self.pending += take
             done += take
             if self.pending == self.batch:
                 self._flush()
+
+    def _dft(self, k: int) -> np.ndarray:
+        """DFT of the first ``k`` pending segments at the kept bins, as
+        rfft's (re, im) pairs viewed as float64, shape (k, 2, 2 * n_omega)."""
+        if self.bases is None:
+            return np.fft.rfft(self.segs[:k]).view(np.float64)
+        parts = [(folded[:k].reshape(2 * k, -1) @ basis).reshape(k, 2, -1)
+                 for folded, basis in zip(self.segs, self.bases)]
+        return np.stack(parts, axis=-1).reshape(k, 2, -1)
 
     def _flush(self) -> None:
         """Add the moments of the pending group to the sums."""
         k, self.pending = self.pending, 0
         if k == 0:
             return
-        segs = self.segs[:k]
-        x = (np.fft.rfft(segs).view(np.float64) if self.basis is None
-             else (segs.reshape(2 * k, -1) @ self.basis).reshape(k, 2, -1))
+        x = self._dft(k)
         mom, prod = self.moments[:k], self.products[:k]
         np.multiply(x[:, 0], x[:, 1], out=prod)
         np.add(prod[:, 0::2], prod[:, 1::2], out=mom[:, 2])     # r

@@ -153,6 +153,13 @@ def build_drift_y(steady: SteadyState, params: PhysicalParams) -> FluctuationMod
     return _build_drift(steady, params, "y")
 
 
+def _require_regular(det, scale) -> None:
+    """Raise where ``det`` is 0 to rounding against ``scale``."""
+    if np.any(np.abs(det) <= 1e-14 * scale):
+        raise SingularTransferError(
+            "sideband transfer is singular (marginally stable point)")
+
+
 def _transfer_entries(model: FluctuationModel, omega):
     """Entries (T11, T12, T21, T22) of T(w); ``omega`` may be an array."""
     omega = np.asarray(omega, dtype=float)
@@ -161,10 +168,9 @@ def _transfer_entries(model: FluctuationModel, omega):
     a22 = -1j * omega - m11.conjugate()
     coupling = abs(m12)
     det = a11 * a22 - coupling * coupling
-    scale = abs(a11) * abs(a22) + coupling * coupling
-    if np.any(np.abs(det) <= 1e-14 * scale):
-        raise SingularTransferError(
-            "sideband transfer is singular (marginally stable point)")
+    # np.abs rounds a scalar and an array entry alike, so transfer and
+    # noise_spectrum test the same threshold at the same omega
+    _require_regular(det, np.abs(a11) * np.abs(a22) + coupling * coupling)
     two_k = 2.0 * model.kappa
     t11 = two_k * a22 / det - 1.0
     t12 = two_k * m12 / det

@@ -206,8 +206,9 @@ def test_kernel_output_may_overwrite_its_noise():
 
 def test_kernel_scratch_memory_is_set_by_the_tile():
     # numpy reports its buffers to tracemalloc: a call writes over its
-    # noise and allocates no output, so a call of one oracle chunk holds a
-    # few scratch buffers of about its noise's size
+    # noise and allocates no output, and its states live over the noise
+    # they have spent, so a call of one oracle chunk holds one array of
+    # about its noise's size plus a few numbers per block for the carry
     pairs = np.full((oracle.CHUNK, 2), (0.01, -0.02))
     tracemalloc.start()
     try:
@@ -215,7 +216,7 @@ def test_kernel_scratch_memory_is_set_by_the_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * oracle.CHUNK * 16
+    assert peak <= 1.4 * oracle.CHUNK * 16
 
 
 def test_samples_equal_the_kernel_projection_bit_for_bit():
@@ -452,15 +453,60 @@ def test_picked_bins_equal_the_full_estimate_rows(
 @pytest.mark.parametrize("length", [7, 3000, 4096, 16384])
 @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
 def test_picked_bin_basis_is_the_direct_dft_bit_for_bit(length, dtype):
-    # the basis takes each entry from a table of the L twiddles, so every
-    # bit equals exp(-2j*pi/L * turn) evaluated at that entry
+    # the folded bases take each entry from a table of the L twiddles, so
+    # at t = 1..L//2 and bin k every bit of (re, im) equals the window w_t
+    # times exp(-2j*pi/L * turn) evaluated at the turn t*k mod L
     picked = np.unique(np.linspace(0, length // 2, 12).round()).astype(dtype)
     welch = oracle._Welch(4 * length, (0.0,), 1.0, length, 0.5, bins=picked)
-    turns = np.outer(np.arange(length), picked) % length
-    direct = np.exp(-2j * math.pi / length * turns).view(np.float64)
-    assert welch.basis.shape == direct.shape
-    assert welch.basis.view(np.uint64).tobytes() == \
-        direct.view(np.uint64).tobytes()
+    steps = np.arange(1, length // 2 + 1)
+    turns = np.outer(steps, picked) % length
+    direct = welch.window[steps, None] * np.exp(-2j * math.pi / length * turns)
+    assert welch.bases.shape == (2,) + direct.shape
+    for got, want in zip(welch.bases, (direct.real, direct.imag)):
+        assert got.view(np.uint64).tobytes() == \
+            want.view(np.uint64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.one_of(st.integers(2, 9), st.integers(10, 3 * N)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_folded_picked_bins_equal_the_fft_rows(length, seed, data):
+    # the periodic Hann window is even, w_t = w_{L-t}, with w_0 = 0, so the
+    # sums and differences folded onto t = 1..L//2 give the windowed FFT's
+    # rows, for even and odd L, at bin 0 and the last bin L//2 too
+    top = length // 2
+    bins = sorted(set(data.draw(st.lists(st.integers(0, top), max_size=10)))
+                  | {0, top})
+    picked = oracle._Welch(4 * length, (0.0,), 1.0, length, 0.5, bins=bins)
+    full = oracle._Welch(4 * length, (0.0,), 1.0, length, 0.5)
+    window = full.window
+    assert window[0] == 0.0 and np.array_equal(window[1:], window[:0:-1])
+    k = min(3, picked.batch - 1)
+    segments = np.random.default_rng(seed).standard_normal((k, 2, length))
+    picked._add(segments)
+    full._add(segments)
+    got = picked._dft(k).reshape(k, 2, -1, 2)
+    want = full._dft(k).reshape(k, 2, -1, 2)[:, :, bins]
+    scale = np.abs(segments).sum(axis=-1)[:, :, None, None]
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_picked_bin_welch_holds_at_most_one_real_basis():
+    # numpy reports its buffers to tracemalloc: the two folded bases have
+    # L//2 rows each, at most L * n_bins * 8 bytes in all, half the complex
+    # (L, n_bins) DFT basis, and they are built a column at a time from the
+    # L twiddles, with no (L, bins) temporaries
+    length, picked = 16384, np.arange(1, 200, 3)
+    basis = length * picked.size * 8
+    tracemalloc.start()
+    try:
+        welch = oracle._Welch(4 * length, (0.0,), 1.0, length, 0.5, picked)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert welch.bases.nbytes <= basis
+    assert held <= basis + welch.segs.nbytes + 4 * length * 8
+    assert peak <= held + 4 * length * 16
 
 
 def test_picked_bins_make_no_fft_and_ignore_the_chunking(monkeypatch):
@@ -480,16 +526,18 @@ def test_picked_bins_make_no_fft_and_ignore_the_chunking(monkeypatch):
 
 
 def test_picked_bins_do_not_depend_on_the_blas_thread_count():
-    # the picked bins come from one matrix product per batch of segments,
-    # which BLAS may split across threads
+    # the picked bins come from two matrix products per batch of segments,
+    # which BLAS may split across threads; an even and an odd segment
+    # length fold differently
     script = (
         "import hashlib, numpy as np, kerrpol as kp\n"
         "kp.oracle.CHUNK = 1 << 14\n"
         "m = kp.FluctuationModel('y', m11=-1.0 + 1.9j, m12=0.6j, kappa=1.0)\n"
         "cfg = kp.TrajectoryConfig(dt=0.01, duration=600.0, seed=7,\n"
         "                          theta_list=(0.0, 1.1))\n"
-        "e = kp.oracle_psd(m, cfg, 4096, 0.5, bins=np.arange(1, 200, 3))\n"
-        "print(hashlib.sha256(e.psd.tobytes() + e.stderr.tobytes())"
+        "for length in (4096, 4095):\n"
+        "    e = kp.oracle_psd(m, cfg, length, 0.5, np.arange(1, 200, 3))\n"
+        "    print(hashlib.sha256(e.psd.tobytes() + e.stderr.tobytes())"
         ".hexdigest())\n")
     src = str(pathlib.Path(kp.__file__).resolve().parent.parent)
     digests = []
@@ -501,8 +549,8 @@ def test_picked_bins_do_not_depend_on_the_blas_thread_count():
         run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        digests.append(run.stdout.strip())
-    assert len(digests[0]) == 64
+        digests.append(run.stdout.split())
+    assert [len(d) for d in digests[0]] == [64, 64]
     assert digests[0] == digests[1]
 
 
@@ -663,18 +711,20 @@ def test_oracle_psd_memory_is_flat_in_duration():
 def test_each_chunk_lives_in_one_buffer():
     # a chunk's noise is drawn into the buffer the kernel writes X over:
     # oracle_psd holds two chunk buffers and simulate none besides its
-    # output, each plus the kernel's and Welch's O(chunk) scratch
+    # output, each plus the kernel's O(chunk) scratch, and oracle_psd also
+    # Welch's, set by its group of segments (the FFT's or the picked bins')
     model, _ = squeezing_model()
     chunk = oracle.CHUNK
     cfg = kp.TrajectoryConfig(dt=0.01, duration=(3 * chunk + 1000) * 0.01,
                               seed=3)
-    scratch = 4 * chunk * 16
-    for bins in (None, [1, 2, 5]):
+    kernel = 1.4 * chunk * 16           # see the kernel's scratch test
+    group = oracle.BATCH_SAMPLES * 2 * 8    # a full group of segments
+    for bins, welch in ((None, 2.5 * group), ([1, 2, 5], group)):
         call = lambda: kp.oracle_psd(model, cfg, 4096, bins=bins)
         call()                                          # first-call imports
-        assert traced_peak(call) <= 2 * chunk * 2 * 8 + scratch
+        assert traced_peak(call) <= 2 * chunk * 2 * 8 + kernel + welch
     assert (traced_peak(lambda: kp.simulate(model, cfg))
-            <= cfg.n_steps * 2 * 8 + scratch)
+            <= cfg.n_steps * 2 * 8 + kernel)
 
 
 def test_conjugate_reconstruction_matches_two_variable_integration():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kerrpol as kp
+from kerrpol import spectra
 
 from conftest import draw_operating_point, make_params, steady_at
 
@@ -154,6 +155,31 @@ def test_transfer_singular_at_marginal_point():
     model = kp.build_drift_y(steady, p)
     with pytest.raises(kp.SingularTransferError):
         kp.transfer(model, 0.0)
+
+
+def test_singularity_threshold_has_the_same_bits_on_both_paths(
+        rng, monkeypatch):
+    # transfer takes one frequency and noise_spectrum an array of them; at
+    # the same omega both test det against the same threshold, bit for bit
+    real, seen = spectra._require_regular, []
+
+    def spy(det, scale):
+        seen.append(np.array(scale, dtype=float).ravel())
+        real(det, scale)
+
+    monkeypatch.setattr(spectra, "_require_regular", spy)
+    for _ in range(20):
+        params, steady = draw_operating_point(rng)
+        model = kp.build_drift_y(steady, params)
+        omegas = rng.uniform(-3.0, 3.0, 25)
+        kp.noise_spectrum(model, omegas, (0.0,))    # at +omega, then -omega
+        grid = np.concatenate(seen)
+        seen.clear()
+        for w in np.concatenate((omegas, -omegas)):
+            kp.transfer(model, float(w))
+        points = np.concatenate(seen)
+        seen.clear()
+        assert points.view(np.uint64).tolist() == grid.view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------
