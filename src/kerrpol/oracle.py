@@ -50,6 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _kernel
 from .errors import ValidationError
 from .spectra import FluctuationModel, NoiseSpectrum
+from .steady import drift_radicand
 
 MAX_STEP_FRACTION = 0.1   # dt * |m11| above this is too coarse to trust
 CHUNK = 1 << 16   # steps per kernel call, whole blocks; sets the scratch size
@@ -116,17 +117,28 @@ class QuadratureSeries:
     quadratures: np.ndarray             # shape (n_kept, 2): X_0, X_pi/2
 
 
+def _step_radius(model: FluctuationModel, dt: float) -> float:
+    """Spectral radius of the one-step EM map I + dt*M, in closed form: its
+    eigenvalues are 1 + dt*(Re(m11) +/- sqrt(r)), r the drift radicand, a
+    real pair if r >= 0, else a complex pair of one modulus."""
+    radicand = drift_radicand(model.m11, model.m12)
+    centre = 1.0 + dt * model.m11.real
+    if radicand >= 0.0:
+        return abs(centre) + dt * math.sqrt(radicand)
+    return math.hypot(centre, dt * math.sqrt(-radicand))
+
+
 def _check_trajectory(model: FluctuationModel, cfg: TrajectoryConfig) -> None:
     """Raise unless the EM run of ``cfg`` on ``model`` is sound: the model
-    passes ``FluctuationModel.require_stable`` and the step is fine enough."""
+    passes ``FluctuationModel.require_stable``, the step is fine enough, and
+    the one-step map's spectral radius, ``_step_radius``, is below 1."""
     model.require_stable()
     if cfg.dt * abs(model.m11) > MAX_STEP_FRACTION:
         raise ValidationError(
             f"step too coarse: dt*|m11| = {cfg.dt * abs(model.m11):.3g} "
             f"> {MAX_STEP_FRACTION}")
     # a nearly reactive drift can pass the dt*|m11| bound and still diverge
-    step_map = np.eye(2) + cfg.dt * model.drift_matrix
-    radius = float(np.max(np.abs(np.linalg.eigvals(step_map))))
+    radius = _step_radius(model, cfg.dt)
     if radius >= 1.0:
         raise ValidationError(f"Euler-Maruyama step diverges: one-step map "
                               f"spectral radius {radius:.8g} >= 1; reduce dt")

@@ -20,11 +20,12 @@ Each mode's linearized drift (see :mod:`kerrpol.spectra`) has eigenvalues
 -kappa + sqrt(max(0, |m12|^2 - Im(m11)^2)).  The driven mode's margin sets
 ``mean_field_stable``; the orthogonal mode's is ``y_mode_margin``, < 0 if stable.
 
-The cubic is solved for a whole grid of detunings at once: one companion
-matrix per detuning, all in one ``eigvals`` call, gives the roots of
-``np.roots`` bit for bit; the Newton polish and the merge run on the padded
-(n, 3) root array.  The same formulas, each square a product ``x * x``, give
-every branch's saturation and margins on arrays with the scalar bits.
+The cubic is solved for a whole grid of detunings at once, in closed form
+and array arithmetic, with no LAPACK call: Viète's trigonometric form where
+it has three real roots, Cardano's where it has one; the Newton polish and
+the merge run on the padded (n, 3) root array.  The same formulas, each
+square a product ``x * x``, give every branch's saturation and margins on
+arrays with the scalar bits.
 ``cavity_scan`` runs this on its grid ``SCAN_BLOCK`` rows at a time, each
 row's bits independent of the block, and ``steady_states`` on a grid of one.
 """
@@ -45,6 +46,9 @@ MERGE_RTOL = 1e-7
 RESIDUAL_RTOL = 1e-9
 # Scan rows solved, and held as Python objects by the continuation, at a time.
 SCAN_BLOCK = 16384
+# 2*pi*k, k = 0, 1, -1, for Viète's three real roots
+_TURNS = np.array([0.0, 2.0 * math.pi, -2.0 * math.pi])
+_HALF_SQRT3 = 0.5 * math.sqrt(3.0)
 
 
 def linear_dephasing(params: PhysicalParams) -> float:
@@ -115,12 +119,17 @@ def linearized_drift(mode: str, kappa: float, delta_c: float, delta_0: float,
             1j * delta_0 * (s / 2.0))
 
 
+def drift_radicand(m11: complex, m12: complex) -> float:
+    """r = |m12|^2 - Im(m11)^2: the drift eigenvalues are Re(m11) +/- sqrt(r),
+    a real pair if r >= 0, else a complex pair; elementwise on arrays."""
+    coupling, rotation = abs(m12), m11.imag
+    return coupling * coupling - rotation * rotation
+
+
 def drift_margin(kappa: float, m11: complex, m12: complex) -> float:
     """Largest real part of the drift eigenvalues (rad/s), in closed form: a
     ``float``, or elementwise on arrays of entries with the same bits."""
-    coupling, rotation = abs(m12), m11.imag
-    margin = -kappa + np.sqrt(np.maximum(
-        coupling * coupling - rotation * rotation, 0.0))
+    margin = -kappa + np.sqrt(np.maximum(drift_radicand(m11, m12), 0.0))
     return margin if isinstance(margin, np.ndarray) else float(margin)
 
 
@@ -139,18 +148,74 @@ def cubic_coefficients(params: PhysicalParams, power: float, delta_c):
             -2.0 * params.kappa * power)
 
 
+def _cubic_roots(shift, c, d) -> np.ndarray:
+    """Roots of the monic x^3 + 3*shift*x^2 + c*x + d, one row per entry of
+    the (n, 1) columns ``shift`` and ``c``, as (n, 3) real numbers.
+
+    With x = t - shift the cubic reads t^3 - 3*q*t + 2*r = 0.  Where the
+    discriminant r^2 - q^3 is negative all three roots are real and come
+    from Viète's trigonometric form; elsewhere Cardano's form gives the one
+    real root, then the real part of the complex pair twice, or 0 twice
+    unless its imaginary part is within 1e-9 of the largest root (or of 1),
+    where ``np.roots`` would have called the pair real.  No square of r or
+    cube of q is formed, so roots up to about 1e100 stay finite.  Each row's
+    bits are its own; a grid that takes one form computes only that one.
+    Runs in the caller's ``errstate``: a form a row does not take is NaN.
+    """
+    shift2 = shift * shift
+    q = shift2 - c / 3.0
+    r = (shift2 - 0.5 * c) * shift + 0.5 * d
+    root_q = np.sqrt(np.abs(q))
+    q32, abs_r = q * root_q, np.abs(r)  # sign(q)*|q|^1.5: q^3 = q32*|q32|
+    three = abs_r < q32                 # r^2 < q^3
+    count = np.count_nonzero(three)
+    if count == three.size:
+        return _viete(shift, root_q, q32, r)
+    if count == 0:
+        return _cardano(shift, q, q32, r, abs_r, d)
+    return np.where(three, _viete(shift, root_q, q32, r),
+                    _cardano(shift, q, q32, r, abs_r, d))
+
+
+def _viete(shift, root_q, q32, r) -> np.ndarray:
+    """The three real roots x = -2*sqrt(q)*cos((acos(r/q^1.5) + 2*pi*k)/3)
+    - shift, k = 0, 1, -1."""
+    cosine = np.fmax(np.fmin(r / q32, 1.0), -1.0)   # |.| > 1: rounding
+    return -2.0 * root_q * np.cos((np.arccos(cosine) + _TURNS) / 3.0) - shift
+
+
+def _cardano(shift, q, q32, r, abs_r, d) -> np.ndarray:
+    """Cardano's real root x1 = u + q/u - shift, u = -sign(r)*cbrt(|r| +
+    sqrt(r^2 - q^3)), then the complex pair's real part twice, 0 unless the
+    pair is real to 1e-9; its imaginary part is sqrt(3)/2*|u - q/u|."""
+    radical = np.where(q < 0.0, np.hypot(abs_r, q32),   # r^2 + |q|^3
+                       np.sqrt(abs_r - q32) * np.sqrt(abs_r + q32))
+    u = np.copysign(np.cbrt(abs_r + radical), -r)
+    v = q / np.where(u == 0.0, 1.0, u)  # u = 0 only at a triple root, q = 0
+    w = u + v
+    x1, re, im = w - shift, -0.5 * w - shift, _HALF_SQRT3 * np.abs(u - v)
+    modulus = np.hypot(re, im)
+    # x1 below the pair loses its digits to shift (a weak drive): take it
+    # from the product of the roots, x1*|pair|^2 = -d, instead
+    x1 = np.where(np.abs(x1) < modulus, -d / modulus / modulus, x1)
+    pair = re * (im <= 1e-9 * np.fmax(np.fmax(np.abs(x1), modulus), 1.0))
+    return np.concatenate((x1, pair, pair), axis=1)   # 0: not a root
+
+
 def _real_roots(params: PhysicalParams, power: float,
                 delta_c: np.ndarray) -> np.ndarray:
     """Real non-negative roots of the cubic at each detuning, as (n, 3) rows:
     each row's roots in ascending order, then NaN.
 
-    The raw roots equal ``np.roots`` bit for bit: leading zero coefficients
-    are stripped (a3 = a2 = 0 without atoms) and the companion matrices,
-    built as ``np.roots`` builds them, go through one ``eigvals`` call per
-    degree.  Each real root gets up to three Newton steps, stopping on its
-    own, and coincident roots are merged, all in array arithmetic, which
-    rounds as floats do.  A coefficient that overflows to inf (or NaN), or
-    a dephasing whose denominator underflows, raises ``NumericalError``.
+    The raw roots come from ``_cubic_roots`` on the monic cubic, or are
+    -a0/a1 where a3 = 0; the positive ones are kept.  Each gets up to three
+    Newton steps, stopping on its own, and coincident roots are merged, all
+    in array arithmetic, which rounds as floats do; the results agree with
+    the exact roots of the float coefficients, and with ``np.roots``
+    polished alike, to about 1e-12 relative.  A coefficient that overflows
+    to inf (or NaN), a dephasing whose denominator underflows, or a row
+    left without a root (its roots too far apart for floats) raises
+    ``NumericalError``.
     """
     try:
         with np.errstate(all="ignore"):   # inf and NaN fail the check below
@@ -168,20 +233,16 @@ def _real_roots(params: PhysicalParams, power: float,
     if a0 == 0.0:                       # no drive: the one root I = 0
         roots[:, 0] = 0.0
         return roots
-    lead = (p != 0.0).argmax(axis=1)
-    for first in set(lead.tolist()) - {3}:
-        rows, k = (lead == first).nonzero()[0], 3 - first
-        companion = np.zeros((rows.size, k, k))
-        companion[:, 1:, :-1] = np.eye(k - 1)
-        companion[:, 0] = -p[rows, first + 1:] / p[rows, first:first + 1]
-        raw = np.linalg.eigvals(companion)
-        scale = np.maximum(np.abs(raw).max(axis=1, keepdims=True), 1.0)
-        real = (np.abs(raw.imag) <= 1e-9 * scale) & (raw.real > 0.0)
-        roots[rows, :k] = np.where(real, raw.real, np.nan)
-        del companion, raw, scale, real     # not held through the polish
     a2, a1 = p[:, 1:2], p[:, 2:3]       # (n, 1) columns against (n, 3) roots
-    live = ~np.isnan(roots)
     with np.errstate(all="ignore"):     # quiet inf and NaN, as for floats
+        # a3 = 0: no atoms, or a Kerr slope whose square underflows, so
+        # that a2*I^2 is below rounding at the root of the line a1*I + a0
+        if a3 == 0.0:
+            roots[:, :1] = -a0 / a1
+        else:
+            roots = _cubic_roots(a2 / (3.0 * a3), a1 / a3, a0 / a3)
+        live = roots > 0.0              # the physical roots only
+        roots[~live] = np.nan
         for _ in range(3):
             d = (3.0 * a3 * roots + 2.0 * a2) * roots + a1
             step = (((a3 * roots + a2) * roots + a1) * roots + a0) / d
@@ -197,6 +258,13 @@ def _real_roots(params: PhysicalParams, power: float,
             column[np.abs(column - last) <= MERGE_RTOL * np.maximum(
                 np.abs(column), np.abs(last))] = np.nan
     roots.sort(axis=1)                  # merged roots' NaN to the end
+    # a0 < 0 < a3, or a0 < 0 < a1 on a line: each row has a positive root
+    lost = ~(roots[:, 0] < np.inf)
+    if lost.any():
+        raise NumericalError(
+            f"steady-state cubic {tuple(p[lost][0].tolist())} at delta_c = "
+            f"{delta_c[lost].tolist()[0]!r} has no finite positive root in "
+            f"floats")
     return roots
 
 

@@ -6,7 +6,8 @@ each block bounded by its cell count (rows x columns): floats with ``repr``
 (shortest round-trip form), once per distinct bit pattern within each block
 of cells and indexed back to the cells, ints with ``str``, bools as
 ``true``/``false``, strings as CSV fields or JSON strings, a missing cell
-as an empty field or ``null``.  CSV lines are the columns' texts zipped
+as an empty field or ``null``; one values array (with one mask) in two
+columns is rendered once per block.  CSV lines are the columns' texts zipped
 together, and the JSON text equals ``json.dumps(..., indent=2)`` of the
 same rows.  A file is written block by block into its temporary name, so
 no whole text is held; ``to_csv_text`` and ``to_json_text`` join the same
@@ -142,8 +143,13 @@ class OutputTable:
         n = len(self._columns[0][1]) if self._columns else 0
         step = max(1, _BLOCK_CELLS // max(1, len(self._columns)))
         for start in range(0, n, step):
-            rows = slice(start, start + step)
-            cells = [_texts(c, fmt, rows) for c in self._columns]
+            rows, cells, memo = slice(start, start + step), [], {}
+            for column in self._columns:   # one array in two columns: one pass
+                key = id(column[1]), id(column[2])
+                if key not in memo:
+                    memo[key] = _texts(column, fmt, rows)
+                cells.append(memo[key])
+            del memo
             if fmt == "csv" and len(cells) == 1:   # a lone empty field
                 cells = [[t or '""' for t in cells[0]]]   # must be quoted
             text = prefix + row_sep.join(map(cell_sep.join,

@@ -95,6 +95,46 @@ def test_simulate_rejects_diverging_em_step():
         kp.simulate(model, cfg)
 
 
+@settings(max_examples=200, deadline=None)
+@given(complex_pair=st.booleans(), above=st.booleans(),
+       kappa=st.floats(0.5, 2.0), dt_kappa=st.floats(1e-4, 1e-3),
+       gap=st.floats(1e-12, 1e-9), size=st.floats(0.0, 1.5),
+       phase=st.floats(0.0, 2.0 * math.pi))
+def test_closed_form_step_radius_matches_the_eigenvalues(
+        complex_pair, above, kappa, dt_kappa, gap, size, phase):
+    # drifts whose one-step map I + dt*M has spectral radius 1 +/- gap, its
+    # eigenvalues 1 + dt*(-kappa +/- sqrt(r)) a complex pair (r < 0) or a
+    # real pair: the closed form agrees with numpy's eigenvalues, and the
+    # run is refused exactly when those reach 1
+    dt, radius = dt_kappa / kappa, 1.0 + gap if above else 1.0 - gap
+    centre = 1.0 - dt_kappa
+    if complex_pair:      # radius^2 = centre^2 + dt^2*(-r)
+        minus_r = (radius * radius - centre * centre) / (dt * dt)
+        coupling = size * math.sqrt(minus_r)
+        rotation = math.sqrt(coupling * coupling + minus_r)
+    else:                 # radius = centre + dt*sqrt(r)
+        root_r = (radius - centre) / dt
+        rotation = size * root_r
+        coupling = math.sqrt(root_r * root_r + rotation * rotation)
+    model = kp.FluctuationModel(
+        "y", m11=complex(-kappa, rotation),
+        m12=coupling * complex(math.cos(phase), math.sin(phase)), kappa=kappa)
+    assert (kp.steady.drift_radicand(model.m11, model.m12) < 0.0) \
+        == complex_pair
+    step_map = np.eye(2) + dt * model.drift_matrix
+    eig = float(np.max(np.abs(np.linalg.eigvals(step_map))))
+    assert abs(oracle._step_radius(model, dt) - eig) <= 1e-14
+    assert (eig >= 1.0) == above
+    assert dt * abs(model.m11) <= oracle.MAX_STEP_FRACTION
+    cfg = kp.TrajectoryConfig(dt=dt, duration=1000.0 * dt, seed=0)
+    try:
+        oracle._check_trajectory(model, cfg)
+    except kp.KerrpolError as exc:  # unstable, or the step diverges
+        assert eig >= 1.0, exc
+    else:
+        assert eig < 1.0
+
+
 # ---------------------------------------------------------------------------
 # simulation statistics
 

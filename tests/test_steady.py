@@ -469,6 +469,7 @@ def test_scan_rejects_non_monotone_grid():
 
 OVERFLOWS = "cubic overflows"
 UNDERFLOWS = "delta \\* transmission underflows"
+NO_ROOT = "no finite positive root"
 
 
 @pytest.mark.parametrize("changes, power, grid, match", [
@@ -476,7 +477,10 @@ UNDERFLOWS = "delta \\* transmission underflows"
     ({}, 1e300, [1e200, 2e200], OVERFLOWS),            # drive at 1e200
     ({}, 1.0, [0.0, 1e160], OVERFLOWS),                # one scan point
     ({"delta": 1e-150, "transmission": 1e-180}, 1.0, [0.0, 1.0], UNDERFLOWS),
-], ids=["n_atoms", "drive", "scan_point", "dephasing_underflow"])
+    # roots 1e-280 and 1e146 apart: q^1.5 overflows, the weak one is lost
+    ({}, 1.0, [0.0, 1e140], NO_ROOT),
+], ids=["n_atoms", "drive", "scan_point", "dephasing_underflow",
+        "root_spread"])
 def test_unformable_cubic_raises_numerical_error(changes, power, grid, match):
     # a squared coefficient overflows to inf, or the dephasing divides by
     # zero; library callers get the package's own error from both entry points
@@ -492,8 +496,8 @@ def test_unformable_cubic_raises_numerical_error(changes, power, grid, match):
 # the batched cubic solve against the per-point one
 
 def per_point_roots(coeffs):
-    """One point the way it was solved before the batched core: np.roots,
-    then up to three Newton steps per real root, sort, merge."""
+    """One point solved by np.roots (companion-matrix eigenvalues), then up
+    to three Newton steps per real root, sort, merge."""
     a3, a2, a1, a0 = coeffs
     if a0 == 0.0:
         return [0.0]
@@ -519,6 +523,9 @@ def per_point_roots(coeffs):
         merged.append(r)
     return merged
 
+
+# the cubic's roots agree with exact ones, and with np.roots, to this
+ROOT_RTOL = 1e-12
 
 # a drive inside the bistable window of the detuning delta_c, and the
 # degenerate cubics of an empty cavity (degree 1) and of zero drive (the
@@ -559,9 +566,12 @@ def test_batched_roots_equal_the_per_point_solve(case, **draw):
     assert (present == (np.arange(3) < counts[:, None])).all()
     batched = [row[~np.isnan(row)].tolist() for row in padded]
     assert all(roots == sorted(roots) for roots in batched)
+    # the closed form and the eigenvalues both polish to the last few bits
     for roots, point in zip(batched, grid.tolist()):
-        assert roots == per_point_roots(
+        expected = per_point_roots(
             kp.steady.cubic_coefficients(p, power, point))
+        assert len(roots) == len(expected)
+        assert np.allclose(roots, expected, rtol=ROOT_RTOL, atol=0.0)
     if case == "fold":
         assert len(batched[-1]) == 3
     else:
@@ -572,6 +582,94 @@ def test_batched_roots_equal_the_per_point_solve(case, **draw):
     scan = kp.cavity_scan(p, drive, grid[:-1])
     assert bits(scan.roots) == bits(
         kp.steady._real_roots(p, drive.power, grid)[:-1])
+
+
+def exact_roots(mpmath, coeffs, digits=40):
+    """Real non-negative roots of the float coefficients, to ``digits``
+    digits and then rounded, merged as ``_real_roots`` merges them."""
+    if coeffs[-1] == 0.0:                       # no drive
+        return [0.0]
+    poly = list(coeffs)
+    while poly[0] == 0.0:                       # no atoms: a line
+        del poly[0]
+    with mpmath.workdps(digits):
+        found = mpmath.polyroots(poly, maxsteps=500, extraprec=500)
+        real = sorted(float(z.real) for z in map(mpmath.mpc, found)
+                      if abs(z.imag) <= mpmath.mpf(10) ** -30 * abs(z)
+                      and z.real > 0)
+    merged = []
+    for r in real:
+        if not merged or abs(r - merged[-1]) > kp.steady.MERGE_RTOL * max(
+                abs(r), abs(merged[-1])):
+            merged.append(r)
+    return merged
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CUBIC_CASES)
+def test_closed_form_roots_match_the_exact_roots(case, **draw):
+    # every root of the closed form and its polish lies within ROOT_RTOL of
+    # an exact root of the same float coefficients, and none is missing;
+    # a dozen rows across the grid, and the window's centre
+    mpmath = pytest.importorskip("mpmath")
+    p, power, grid, delta_c = cubic_case(case=case, **draw)
+    rows = np.append(grid[np.linspace(0, grid.size - 1, 12).astype(int)],
+                     delta_c)
+    for row, point in zip(kp.steady._real_roots(p, power, rows),
+                          rows.tolist()):
+        roots = row[~np.isnan(row)].tolist()
+        exact = exact_roots(mpmath, kp.steady.cubic_coefficients(
+            p, power, point))
+        assert len(roots) == len(exact)
+        for root, want in zip(roots, exact):
+            assert abs(root - want) <= ROOT_RTOL * abs(want)
+    if case == "fold":                  # the centre, the last row
+        assert len(roots) == 3
+
+
+@pytest.mark.parametrize("power", [1e-200, 1e-6, 1e150, 1e280])
+def test_closed_form_roots_at_extreme_drives(power):
+    # roots from about 1e-201, far below the complex pair, to 1e95, whose
+    # r^2 or q^3 would overflow: each matches an exact root
+    mpmath = pytest.importorskip("mpmath")
+    p = make_params(delta0=-8.0)
+    grid = kp.linear_dephasing(p) + np.array([-6.0, -1.0, 0.0, 6.0])
+    padded = kp.steady._real_roots(p, power, grid)
+    for row, point in zip(padded, grid.tolist()):
+        roots = row[~np.isnan(row)].tolist()
+        exact = exact_roots(mpmath, kp.steady.cubic_coefficients(
+            p, power, point), digits=300)     # roots 200 decades apart
+        assert len(roots) == len(exact) >= 1
+        for root, want in zip(roots, exact):
+            assert abs(root - want) <= ROOT_RTOL * abs(want)
+
+
+def test_cubic_roots_of_exact_cubics():
+    # the closed forms before any polish: three real roots (Viète), one
+    # real root and a complex pair, written as 0 (Cardano), and the triple
+    # root of (x + 1)^3, where q = r = 0 and Cardano's u is 0
+    cases = [((-2.0, 11.0, -6.0), [1.0, 2.0, 3.0]),
+             ((-1.0 / 3.0, 1.0, -1.0), [0.0, 0.0, 1.0]),
+             ((1.0, 3.0, 1.0), [-1.0, -1.0, -1.0])]
+    with np.errstate(all="ignore"):     # as in _real_roots
+        for (shift, c, d), want in cases:
+            got = kp.steady._cubic_roots(np.array([[shift]]), np.array([[c]]),
+                                         d)
+            assert np.allclose(np.sort(got[0]), want, rtol=0.0, atol=1e-14)
+
+
+def test_a_slope_whose_square_underflows_solves_the_line():
+    # so few atoms that a3 = slope^2 underflows and a2 does not: the root of
+    # the line a1*I + a0, the empty cavity's to rounding, and no other
+    p = make_params(delta0=-8.0)
+    few = replace(p, n_atoms=p.n_atoms * 1e-170)
+    a3, a2, _, _ = kp.steady.cubic_coefficients(few, 1.0, 5.0)
+    assert a3 == 0.0 and a2 != 0.0
+    grid = np.array([-5.0, 0.0, 5.0])
+    roots = kp.steady._real_roots(few, 1.0, grid)
+    empty = kp.steady._real_roots(replace(p, n_atoms=0.0), 1.0, grid)
+    assert np.isnan(roots[:, 1:]).all() and np.isnan(empty[:, 1:]).all()
+    assert np.allclose(roots[:, 0], empty[:, 0], rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

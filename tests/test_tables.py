@@ -227,6 +227,32 @@ def test_write_memory_does_not_grow_with_the_table(tmp_path, fmt):
     assert large < 1.2 * small
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_array_in_two_columns_is_rendered_once_per_block(tmp_path, fmt):
+    # the scan writes one array as both i_plus and i_minus: a values array
+    # with one mask renders once per block, the same array without the
+    # mask apart, and the file's bytes are those of two equal copies
+    n_rows = 2 * (tables_module._BLOCK_CELLS // 4) + 5     # three blocks
+    values = np.linspace(-3.0, 7.0, n_rows)
+    mask = values > 5.0
+    columns, units = ["a", "b", "c", "k"], ["1"] * 4
+
+    def write(data, missing, out):
+        table = OutputTable("t", columns, units, data, missing=missing)
+        with mock.patch.object(tables_module, "_texts",
+                               wraps=tables_module._texts) as texts:
+            [path] = table.write(tmp_path / out, fmt)
+        with open(path, "rb") as fh:
+            return fh.read(), texts.call_count
+
+    shared = write([values, values, values, np.arange(n_rows)],
+                   {"a": mask, "b": mask}, "shared")
+    copies = write([values, values.copy(), values.copy(), np.arange(n_rows)],
+                   {"a": mask, "b": mask.copy()}, "copies")
+    assert shared[0] == copies[0]
+    assert (shared[1], copies[1]) == (3 * 3, 3 * 4)
+
+
 @pytest.mark.parametrize("data, error", [
     ([[1.0, 2.0], [1.0]], kp.ValidationError),          # ragged
     ([[1.0, "x"], [1.0, 2.0]], kp.ValidationError),     # mixed kinds

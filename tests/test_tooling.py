@@ -72,28 +72,38 @@ def test_files_are_opened_for_writing_only_in_write_files():
     assert sorted(set(sites)) == [("tables.py", "write_files")]
 
 
+def _names(node):
+    """The names a syntax-tree node refers to or imports."""
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.alias):
+        return node.name.split(".")
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")
+    return []
+
+
 def test_kernel_makes_no_blas_call():
     # matrix products and linalg may go through a threaded BLAS; the kernel
     # stays elementwise so its bits do not depend on the thread count
     tree = ast.parse((SRC / "_kernel.py").read_text())
     banned = {"dot", "matmul", "einsum", "linalg", "tensordot", "inner",
               "vdot"}
-
-    def names(node):
-        if isinstance(node, ast.Attribute):
-            return [node.attr]
-        if isinstance(node, ast.Name):
-            return [node.id]
-        if isinstance(node, ast.alias):
-            return node.name.split(".")
-        if isinstance(node, ast.ImportFrom):
-            return (node.module or "").split(".")
-        return []
-
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(getattr(node, "op", None), ast.MatMult)
-             or banned.intersection(names(node))]
+             or banned.intersection(_names(node))]
     assert any(isinstance(node, ast.Call) for node in ast.walk(tree))
+    assert found == []
+
+
+def test_package_makes_no_lapack_call():
+    # the steady-state cubic and the EM step check have closed forms; no
+    # module maps LAPACK's pages, which cost every run about 1 MB of RSS
+    found = [f"{name}:{getattr(node, 'lineno', '?')}"
+             for name, node in _package_nodes()
+             if "linalg" in _names(node)]
     assert found == []
 
 
