@@ -170,18 +170,24 @@ def _cubic_roots(shift, c, d) -> np.ndarray:
     three = abs_r < q32                 # r^2 < q^3
     count = np.count_nonzero(three)
     if count == three.size:
-        return _viete(shift, root_q, q32, r)
+        return _viete(shift, root_q, q32, r, d)
     if count == 0:
         return _cardano(shift, q, q32, r, abs_r, d)
-    return np.where(three, _viete(shift, root_q, q32, r),
+    return np.where(three, _viete(shift, root_q, q32, r, d),
                     _cardano(shift, q, q32, r, abs_r, d))
 
 
-def _viete(shift, root_q, q32, r) -> np.ndarray:
+def _viete(shift, root_q, q32, r, d) -> np.ndarray:
     """The three real roots x = -2*sqrt(q)*cos((acos(r/q^1.5) + 2*pi*k)/3)
     - shift, k = 0, 1, -1."""
     cosine = np.fmax(np.fmin(r / q32, 1.0), -1.0)   # |.| > 1: rounding
-    return -2.0 * root_q * np.cos((np.arccos(cosine) + _TURNS) / 3.0) - shift
+    x = -2.0 * root_q * np.cos((np.arccos(cosine) + _TURNS) / 3.0) - shift
+    # the smallest root far below the largest loses its digits to shift:
+    # take it from the product of the roots, x*x_a*x_b = -d, instead
+    size = np.abs(x)
+    small = (size == size.min(axis=1, keepdims=True)) & (
+        size < 1e-8 * size.max(axis=1, keepdims=True))
+    return np.where(small, -d / x[:, [1, 2, 0]] / x[:, [2, 0, 1]], x)
 
 
 def _cardano(shift, q, q32, r, abs_r, d) -> np.ndarray:

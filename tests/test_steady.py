@@ -627,21 +627,28 @@ def test_closed_form_roots_match_the_exact_roots(case, **draw):
         assert len(roots) == 3
 
 
-@pytest.mark.parametrize("power", [1e-200, 1e-6, 1e150, 1e280])
+@pytest.mark.parametrize("power", [1e-200, 1e-6, 1.0, 1e150, 1e280])
 def test_closed_form_roots_at_extreme_drives(power):
     # roots from about 1e-201, far below the complex pair, to 1e95, whose
     # r^2 or q^3 would overflow: each matches an exact root
     mpmath = pytest.importorskip("mpmath")
     p = make_params(delta0=-8.0)
     grid = kp.linear_dephasing(p) + np.array([-6.0, -1.0, 0.0, 6.0])
+    rtol = [ROOT_RTOL] * 3
+    if power == 1.0:
+        # at +/-1e52 three real roots: one near 2e-104, far below two near
+        # +/-6.25e58 that lie 1.7e-8 apart, so merge, and whose conditioning
+        # is sqrt(eps): those match to the merge tolerance
+        grid = np.array([1e52, -1e52])
+        rtol[1:] = [kp.steady.MERGE_RTOL] * 2
     padded = kp.steady._real_roots(p, power, grid)
     for row, point in zip(padded, grid.tolist()):
         roots = row[~np.isnan(row)].tolist()
         exact = exact_roots(mpmath, kp.steady.cubic_coefficients(
             p, power, point), digits=300)     # roots 200 decades apart
         assert len(roots) == len(exact) >= 1
-        for root, want in zip(roots, exact):
-            assert abs(root - want) <= ROOT_RTOL * abs(want)
+        for root, want, tol in zip(roots, exact, rtol):
+            assert abs(root - want) <= tol * abs(want)
 
 
 def test_cubic_roots_of_exact_cubics():
