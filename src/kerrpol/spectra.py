@@ -39,18 +39,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (NumericalError, SingularTransferError,
-                     UnstableModelError, ValidationError)
+from .errors import (SingularTransferError, UnstableModelError,
+                     ValidationError)
 from .params import PhysicalParams
 from .steady import (SteadyState, drift_margin, kerr_coefficient,
                      linear_dephasing, linearized_drift)
-
-# Tolerated imaginary residue of the spectrum quadratic form, relative to
-# max(1, |Re|).
-IMAG_RESIDUE_TOL = 1e-10
-
-C_SYM = np.array([[0.0, 0.5], [0.5, 0.0]])
-
 
 @dataclass(frozen=True)
 class FluctuationModel:
@@ -168,8 +161,8 @@ def _transfer_entries(model: FluctuationModel, omega):
     a22 = -1j * omega - m11.conjugate()
     coupling = abs(m12)
     det = a11 * a22 - coupling * coupling
-    # np.abs rounds a scalar and an array entry alike, so transfer and
-    # noise_spectrum test the same threshold at the same omega
+    # np.abs rounds a scalar and an array entry alike, so every caller
+    # tests the same threshold at the same omega
     _require_regular(det, np.abs(a11) * np.abs(a22) + coupling * coupling)
     two_k = 2.0 * model.kappa
     t11 = two_k * a22 / det - 1.0
@@ -177,30 +170,6 @@ def _transfer_entries(model: FluctuationModel, omega):
     t21 = two_k * m12.conjugate() / det
     t22 = two_k * a11 / det - 1.0
     return t11, t12, t21, t22
-
-
-def transfer(model: FluctuationModel, omega: float) -> np.ndarray:
-    """Output-from-input sideband map T(w) = 2*kappa*(-i*w - M)^(-1) - 1."""
-    t11, t12, t21, t22 = _transfer_entries(model, float(omega))
-    return np.array([[complex(t11), complex(t12)],
-                     [complex(t21), complex(t22)]])
-
-
-def quadrature_spectrum(model: FluctuationModel, omega: float,
-                        theta: float) -> float:
-    """Shot-noise-normalized spectrum of the quadrature at phase ``theta``.
-
-    Evaluates u_theta . T(w) . C . T(-w)^T . u_theta^T with
-    u_theta = (e^{-i*theta}, e^{+i*theta}); the result must be real up to a
-    tiny residue, which is checked before it is discarded.
-    """
-    model.require_stable()
-    u = np.array([cmath.exp(-1j * theta), cmath.exp(1j * theta)])
-    value = u @ transfer(model, omega) @ C_SYM @ transfer(model, -omega).T @ u
-    if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
-        raise NumericalError(
-            f"spectrum has imaginary residue {value.imag:.3e}")
-    return float(value.real)
 
 
 def _phase_quadratic(model: FluctuationModel, omega):
@@ -216,17 +185,22 @@ def _phase_quadratic(model: FluctuationModel, omega):
     return iso, conj
 
 
-def fold_angle(theta: float) -> float:
-    """Fold a quadrature phase into the canonical interval (-pi/2, pi/2]."""
-    theta = math.remainder(theta, math.pi)
-    if theta <= -math.pi / 2.0:
-        theta += math.pi
-    return theta
+def fold_angle(theta):
+    """Fold quadrature phases into the canonical interval (-pi/2, pi/2].
+
+    ``np.fmod`` is exact and, by Sterbenz's lemma, so is the one +/-pi step
+    after it, so the fold has the bits of one through ``math.remainder``.
+    A float gives a float; an array gives an array.
+    """
+    theta = np.fmod(theta, math.pi)
+    theta = np.where(theta > math.pi / 2.0, theta - math.pi, theta)
+    theta = np.where(theta <= -math.pi / 2.0, theta + math.pi, theta)
+    return float(theta) if theta.ndim == 0 else theta
 
 
-def min_max_spectrum(model: FluctuationModel,
-                     omega: float) -> tuple[float, float, float]:
-    """(S_min, S_max, theta_min) at one frequency, extremized in closed form.
+def min_max_spectrum(model: FluctuationModel, omega):
+    """(S_min, S_max, theta_min), extremized in closed form: floats at one
+    frequency, or columns over an array of them.
 
     The phase dependence is sinusoidal, S(theta) = a + |b|*cos(2*theta -
     arg b), so the extrema are a -/+ |b| and the squeezing angle is
@@ -234,13 +208,18 @@ def min_max_spectrum(model: FluctuationModel,
     reports theta_min = 0 by convention.
     """
     model.require_stable()
-    iso, conj = _phase_quadratic(model, float(omega))
-    iso = float(iso)
-    amp = abs(complex(conj))
-    if amp <= 1e-14 * iso:
-        return iso, iso, 0.0
-    theta_min = fold_angle(cmath.phase(complex(conj)) / 2.0 + math.pi / 2.0)
-    return iso - amp, iso + amp, theta_min
+    # numpy scalars round complex arithmetic apart from array loops, so
+    # one frequency goes through the array path as an array of one
+    iso, conj = _phase_quadratic(model, np.atleast_1d(omega))
+    amp = np.abs(conj)
+    flat = amp <= 1e-14 * iso
+    amp = np.where(flat, 0.0, amp)
+    theta_min = np.where(flat, 0.0,
+                         fold_angle(np.angle(conj) / 2.0 + math.pi / 2.0))
+    s_min, s_max = iso - amp, iso + amp
+    if np.ndim(omega) == 0:
+        return float(s_min[0]), float(s_max[0]), float(theta_min[0])
+    return s_min, s_max, theta_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,8 +256,8 @@ def noise_spectrum(model: FluctuationModel, omega_grid,
                    theta_grid) -> NoiseSpectrum:
     """Vectorized spectrum over an (omega, theta) grid.
 
-    Uses the sinusoidal phase decomposition; agrees with
-    :func:`quadrature_spectrum` pointwise (tested), just faster on grids.
+    Uses the sinusoidal phase decomposition; agrees pointwise with the
+    quadratic form u_theta . T(w) . C . T(-w)^T . u_theta^T (tested).
     """
     model.require_stable()
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))

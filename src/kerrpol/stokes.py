@@ -22,16 +22,21 @@ normalized noise is ``at_theta(0.0)`` of the x-mode spectrum.  Only the
 S2/S3 pair carries a nontrivial uncertainty bound.
 
 A lumped detection efficiency eta mixes in vacuum: S -> eta*S + (1 - eta).
+
+Both outputs are columns over the whole frequency grid, and each invariant
+is checked once, where its column is made: the loss floor v_theta >= 1 - eta
+in :func:`phase_scan_dataset`, the uncertainty bound V_S2 * V_S3 >=
+alpha_x^4 (normalized: >= 1) in :func:`stokes_noise`.  A violation and a NaN
+alike raise ``NumericalError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .spectra import FluctuationModel, NoiseSpectrum, noise_spectrum
 
 UNCERTAINTY_SLACK = 1e-6
@@ -43,61 +48,25 @@ def stokes_means(alpha_x: complex) -> tuple[float, float, float, float]:
     return (intensity, intensity, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class StokesRecord:
-    """Mean Stokes vector and S2/S3 noise densities at one frequency.
-
-    ``v_s2``/``v_s3`` are in photon-flux^2 units; the ``_norm`` fields divide
-    by alpha_x^2 so a coherent polarization state sits at 1.
-    """
-
-    mean_s0: float
-    mean_s1: float
-    mean_s2: float
-    mean_s3: float
-    v_s2: float
-    v_s3: float
-    v_s2_norm: float
-    v_s3_norm: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        s0 = self.mean_s0
-        if s0 < abs(self.mean_s1) - 1e-12 * s0 or \
-           s0 < abs(self.mean_s2) - 1e-12 * s0 or \
-           s0 < abs(self.mean_s3) - 1e-12 * s0:
-            raise ValidationError("mean S0 must dominate |S1|, |S2|, |S3|")
-        product = self.v_s2_norm * self.v_s3_norm
-        if product < 1.0 - UNCERTAINTY_SLACK:
-            raise ValidationError(
-                f"normalized uncertainty product {product} violates "
-                "V_S2 * V_S3 >= alpha_x^4")
-
-    @property
-    def uncertainty_product(self) -> float:
-        return self.v_s2_norm * self.v_s3_norm
-
-
-def stokes_noise(spectrum_y: NoiseSpectrum, alpha_x: complex) -> list[StokesRecord]:
-    """Map the orthogonal-mode spectrum onto Stokes records, one per omega.
+def stokes_noise(spectrum_y: NoiseSpectrum):
+    """Columns (v_s2_norm, v_s3_norm, uncertainty_product) over omega.
 
     Reads the orthogonal-mode spectrum at theta = 0 and pi/2 (relative to the
-    mean field) and scales it to flux units by S0 of :func:`stokes_means`.
+    mean field): the S2/S3 noise normalized by alpha_x^2, so a coherent
+    polarization state sits at 1.  A product below 1 - UNCERTAINTY_SLACK, or
+    NaN, raises ``NumericalError``.
     """
     if spectrum_y.mode_label != "y":
         raise ValidationError("S2/S3 noise reads the orthogonal-mode spectrum")
-    means = stokes_means(alpha_x)
-    s2 = spectrum_y.at_theta(0.0)
-    s3 = spectrum_y.at_theta(math.pi / 2.0)
-    return [
-        StokesRecord(
-            mean_s0=means[0], mean_s1=means[1], mean_s2=means[2],
-            mean_s3=means[3],
-            v_s2=means[0] * float(a), v_s3=means[0] * float(b),
-            v_s2_norm=float(a), v_s3_norm=float(b),
-            omega=float(w))
-        for w, a, b in zip(spectrum_y.omega, s2, s3)
-    ]
+    v_s2 = spectrum_y.at_theta(0.0)
+    v_s3 = spectrum_y.at_theta(math.pi / 2.0)
+    product = v_s2 * v_s3
+    below = ~(product >= 1.0 - UNCERTAINTY_SLACK)
+    if below.any():
+        raise NumericalError(
+            f"normalized uncertainty product {product[below][0]:.6g} "
+            "violates V_S2 * V_S3 >= alpha_x^4")
+    return v_s2, v_s3, product
 
 
 def apply_detection_loss(s, eta: float):
@@ -123,41 +92,23 @@ def recover_lossless(s_detected, eta: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseScanDataset:
-    """Homodyne phase scan at one frequency: noise vs LO phase.
+def phase_scan_dataset(model_y: FluctuationModel, omega_grid, theta_grid,
+                       eta: float):
+    """Phase-scanned, loss-degraded noise of the orthogonal mode.
 
-    ``cos_theta`` mirrors the interference signal used to read the phase off
-    an XY oscilloscope display: plotting v_theta against it folds +/-theta
-    onto the same abscissa, giving the characteristic two-branch curves.
+    Returns the columns (theta_hd, cos_theta, v_theta) over the whole
+    (omega, theta) grid, frequency by frequency.  ``cos_theta`` mirrors the
+    interference signal used to read the phase off an XY oscilloscope
+    display: plotting v_theta against it folds +/-theta onto the same
+    abscissa, giving the characteristic two-branch curves.  Noise below the
+    loss floor 1 - eta, or NaN, raises ``NumericalError``.
     """
-
-    theta_hd: np.ndarray
-    cos_theta: np.ndarray
-    v_theta: np.ndarray
-    omega: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not (self.theta_hd.shape == self.cos_theta.shape == self.v_theta.shape):
-            raise ValidationError("phase-scan arrays must share one shape")
-        if not np.array_equal(self.cos_theta, np.cos(self.theta_hd)):
-            raise ValidationError("cos_theta must equal cos(theta_hd) exactly")
-        if np.any(self.v_theta < 0.0):
-            raise ValidationError("scan noise cannot be negative")
-        if np.any(self.v_theta < (1.0 - self.eta) - 1e-12):
-            raise ValidationError("scan noise fell below the loss floor")
-
-
-def phase_scan_dataset(model_y: FluctuationModel, omega: float, theta_grid,
-                       eta: float) -> PhaseScanDataset:
-    """Phase-scanned, loss-degraded noise of the orthogonal mode at ``omega``."""
     theta = np.atleast_1d(np.asarray(theta_grid, dtype=float))
-    spectrum = noise_spectrum(model_y, [omega], theta)
-    v = apply_detection_loss(spectrum.values[0, :], eta)
-    return PhaseScanDataset(
-        theta_hd=theta,
-        cos_theta=np.cos(theta),
-        v_theta=np.asarray(v, dtype=float),
-        omega=float(omega),
-        eta=float(eta))
+    spectrum = noise_spectrum(model_y, omega_grid, theta)
+    v_theta = apply_detection_loss(spectrum.values.ravel(), eta)
+    below = ~(v_theta >= 1.0 - eta - 1e-12)
+    if below.any():
+        raise NumericalError(
+            f"scan noise {v_theta[below][0]:.6g} under the loss floor")
+    rows = spectrum.omega.size
+    return np.tile(theta, rows), np.tile(np.cos(theta), rows), v_theta

@@ -77,12 +77,12 @@ def test_criterion_2_purity_and_uncertainty():
             assert abs(extremal - 1.0) <= 1e-6
 
             spec = kp.noise_spectrum(model, [w], [0.0, math.pi / 2.0])
-            record = kp.stokes_noise(spec, steady.alpha_x)[0]
-            assert record.uncertainty_product >= 1.0 - 1e-6
+            (v_s2,), (v_s3,), (product,) = kp.stokes_noise(spec)
+            assert product >= 1.0 - 1e-6
 
             eta = float(rng.uniform(0.3, 1.0))
-            lossy_product = (kp.apply_detection_loss(record.v_s2_norm, eta)
-                             * kp.apply_detection_loss(record.v_s3_norm, eta))
+            lossy_product = (kp.apply_detection_loss(v_s2, eta)
+                             * kp.apply_detection_loss(v_s3, eta))
             assert lossy_product >= 1.0 - 1e-9
 
 
@@ -258,21 +258,23 @@ def test_criterion_8_phase_scan_topologies():
         spacing = float(thetas[1] - thetas[0])
 
         _, _, model = squeezed_to_angle(math.pi / 2.0)
-        ds = kp.phase_scan_dataset(model, 0.6, thetas, eta=0.718)
-        k = int(np.argmin(ds.v_theta))
-        assert abs(ds.cos_theta[k]) <= math.sin(spacing) + 1e-12
+        _, cos_theta, v_theta = kp.phase_scan_dataset(model, 0.6, thetas,
+                                                      eta=0.718)
+        k = int(np.argmin(v_theta))
+        assert abs(cos_theta[k]) <= math.sin(spacing) + 1e-12
 
         target = math.radians(30.0)
         _, _, model = squeezed_to_angle(target)
-        ds = kp.phase_scan_dataset(model, 0.6, thetas, eta=0.718)
-        pos = ds.theta_hd > 0
-        k_pos = int(np.argmin(np.where(pos, ds.v_theta, np.inf)))
-        k_neg = int(np.argmin(np.where(~pos, ds.v_theta, np.inf)))
+        theta_hd, cos_theta, v_theta = kp.phase_scan_dataset(
+            model, 0.6, thetas, eta=0.718)
+        pos = theta_hd > 0
+        k_pos = int(np.argmin(np.where(pos, v_theta, np.inf)))
+        k_neg = int(np.argmin(np.where(~pos, v_theta, np.inf)))
         for k in (k_pos, k_neg):
-            assert abs(math.remainder(ds.theta_hd[k] - target, math.pi)) \
+            assert abs(math.remainder(theta_hd[k] - target, math.pi)) \
                 <= spacing
-        assert abs(ds.cos_theta[k_pos] - math.cos(target)) <= spacing
-        assert abs(ds.cos_theta[k_neg] + math.cos(target)) <= spacing
+        assert abs(cos_theta[k_pos] - math.cos(target)) <= spacing
+        assert abs(cos_theta[k_neg] + math.cos(target)) <= spacing
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -4,7 +4,6 @@ import math
 import os
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -376,7 +375,7 @@ def test_one_stability_gate_one_message(tmp_path, capsys):
     texts = set()
     for call in (lambda: kp.noise_spectrum(model, [1.0], [0.0]),
                  lambda: kp.min_max_spectrum(model, 1.0),
-                 lambda: kp.quadrature_spectrum(model, 1.0, 0.0),
+                 lambda: kp.min_max_spectrum(model, np.array([1.0, 2.0])),
                  lambda: kp.simulate(model, traj),
                  lambda: kp.oracle_psd(model, traj, 256)):
         with pytest.raises(kp.UnstableModelError) as info:
@@ -472,23 +471,20 @@ def test_stokes_flat_vacuum_scan_is_unity(tmp_path):
 
 @pytest.mark.parametrize("check", ["loss_floor", "uncertainty"])
 def test_stokes_recheck_failure_exits_2(tmp_path, capsys, monkeypatch, check):
-    # the re-checks raise, so they also hold under python -O
-    if check == "loss_floor":
-        real = cli.phase_scan_dataset
-
-        def below_floor(*args, **kwargs):
-            ds = real(*args, **kwargs)
-            return SimpleNamespace(theta_hd=ds.theta_hd, cos_theta=ds.cos_theta,
-                                   v_theta=0.0 * ds.v_theta)
-        monkeypatch.setattr(cli, "phase_scan_dataset", below_floor)
-    else:
-        monkeypatch.setattr(cli, "stokes_noise", lambda spec, alpha: [
-            SimpleNamespace(v_s2_norm=0.5, v_s3_norm=0.5,
-                            uncertainty_product=0.25)])
+    # a defect in the spectrum's phase quadratic: NaN fails the loss floor,
+    # halved noise (V_S2 * V_S3 = 1/4) the uncertainty bound; each check
+    # raises, so it also holds under python -O
+    real = kp.spectra._phase_quadratic
+    factor = math.nan if check == "loss_floor" else 0.5
+    monkeypatch.setattr(kp.spectra, "_phase_quadratic", lambda *args: tuple(
+        factor * part for part in real(*args)))
     code = cli.main(["stokes", "--config", FIXTURE, "--out", str(tmp_path)])
     assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
-    assert not (tmp_path / "stokes_scan.csv").exists()
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert ("loss floor" if check == "loss_floor"
+            else "uncertainty product") in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_diverging_step_exits_1_without_report(tmp_path, capsys):

@@ -1,12 +1,13 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kerrpol as kp
 from kerrpol import spectra
 
+import spectra_reference as ref
 from conftest import draw_operating_point, make_params, steady_at
 
 
@@ -20,15 +21,9 @@ def wirtinger_jacobian(f, z0, h=1e-4):
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
-def spectrum_by_matrix(model, omega, theta):
-    """Direct quadratic-form evaluation with a generic matrix inverse."""
-    m = model.drift_matrix
-    eye = np.eye(2)
-    t_p = 2.0 * model.kappa * np.linalg.inv(-1j * omega * eye - m) - eye
-    t_m = 2.0 * model.kappa * np.linalg.inv(+1j * omega * eye - m) - eye
-    u = np.array([cmath.exp(-1j * theta), cmath.exp(1j * theta)])
-    c_sym = np.array([[0.0, 0.5], [0.5, 0.0]])
-    return (u @ t_p @ c_sym @ t_m.T @ u).real
+def library_transfer(model, omega):
+    """T(w) as a 2x2 matrix from the entries the spectra are built from."""
+    return np.array(spectra._transfer_entries(model, omega)).reshape(2, 2)
 
 
 def vacuum_steady(params, delta_c=0.0):
@@ -120,7 +115,7 @@ def test_steady_state_zero_drive_vacuum_mode_margin_consistency(rng):
 def test_transfer_identity_for_empty_resonant_cavity():
     p = make_params(delta0=0.0)
     model = kp.build_drift_y(vacuum_steady(p, delta_c=0.0), p)
-    t = kp.transfer(model, 0.0)
+    t = library_transfer(model, 0.0)
     assert np.allclose(t, np.eye(2), atol=1e-14)
 
 
@@ -128,7 +123,7 @@ def test_transfer_empty_detuned_cavity_is_all_pass():
     p = make_params(delta0=0.0)
     model = kp.build_drift_y(vacuum_steady(p, delta_c=0.8), p)
     for w in np.linspace(-5.0, 5.0, 41):
-        t = kp.transfer(model, float(w))
+        t = library_transfer(model, float(w))
         assert abs(t[0, 0]) == pytest.approx(1.0, rel=1e-12)
         assert t[0, 1] == 0.0
 
@@ -138,10 +133,12 @@ def test_transfer_row_conjugacy(rng):
         params, steady = draw_operating_point(rng)
         model = kp.build_drift_y(steady, params)
         for w in (0.0, 0.37, 1.9, -2.4):
-            tp = kp.transfer(model, w)
-            tm = kp.transfer(model, -w)
+            tp = library_transfer(model, w)
+            tm = library_transfer(model, -w)
             assert tp[1, 0] == pytest.approx(tm[0, 1].conjugate(), rel=1e-12)
             assert tp[1, 1] == pytest.approx(tm[0, 0].conjugate(), rel=1e-12)
+            assert np.allclose(tp, ref.transfer(model, w), rtol=1e-12,
+                               atol=1e-12)
 
 
 def test_transfer_singular_at_marginal_point():
@@ -154,13 +151,14 @@ def test_transfer_singular_at_marginal_point():
     steady = steady_at(p, delta_c, s)
     model = kp.build_drift_y(steady, p)
     with pytest.raises(kp.SingularTransferError):
-        kp.transfer(model, 0.0)
+        spectra._transfer_entries(model, 0.0)
 
 
 def test_singularity_threshold_has_the_same_bits_on_both_paths(
         rng, monkeypatch):
-    # transfer takes one frequency and noise_spectrum an array of them; at
-    # the same omega both test det against the same threshold, bit for bit
+    # min_max_spectrum here takes one frequency and noise_spectrum an array
+    # of them; at the same omega both test det against the same threshold,
+    # bit for bit
     real, seen = spectra._require_regular, []
 
     def spy(det, scale):
@@ -173,10 +171,10 @@ def test_singularity_threshold_has_the_same_bits_on_both_paths(
         model = kp.build_drift_y(steady, params)
         omegas = rng.uniform(-3.0, 3.0, 25)
         kp.noise_spectrum(model, omegas, (0.0,))    # at +omega, then -omega
-        grid = np.concatenate(seen)
+        grid = np.concatenate(seen).reshape(2, -1).T.ravel()
         seen.clear()
-        for w in np.concatenate((omegas, -omegas)):
-            kp.transfer(model, float(w))
+        for w in omegas.tolist():                   # +w, -w for each w
+            kp.min_max_spectrum(model, w)
         points = np.concatenate(seen)
         seen.clear()
         assert points.view(np.uint64).tolist() == grid.view(np.uint64).tolist()
@@ -189,10 +187,9 @@ def test_spectrum_is_shot_noise_without_saturation():
     p = make_params(delta0=-8.0)
     for delta_c in (-3.0, 0.0, 7.0):
         model = kp.build_drift_y(vacuum_steady(p, delta_c), p)
-        for w in np.linspace(-4.0, 4.0, 9):
-            for th in np.linspace(0.0, math.pi, 5):
-                s = kp.quadrature_spectrum(model, float(w), float(th))
-                assert s == pytest.approx(1.0, abs=1e-9)
+        values = kp.noise_spectrum(model, np.linspace(-4.0, 4.0, 9),
+                                   np.linspace(0.0, math.pi, 5)).values
+        assert np.allclose(values, 1.0, rtol=0.0, atol=1e-9)
 
 
 def test_spectrum_errors_on_unstable_model():
@@ -203,9 +200,11 @@ def test_spectrum_errors_on_unstable_model():
     model = kp.build_drift_y(steady, p)
     assert not model.is_stable
     with pytest.raises(kp.UnstableModelError):
-        kp.quadrature_spectrum(model, 1.0, 0.0)
+        kp.noise_spectrum(model, [1.0], [0.0])
     with pytest.raises(kp.UnstableModelError):
         kp.min_max_spectrum(model, 1.0)
+    with pytest.raises(kp.UnstableModelError):
+        kp.min_max_spectrum(model, np.array([1.0, 2.0]))
 
 
 def test_spectrum_matches_generic_matrix_evaluation(rng):
@@ -214,8 +213,8 @@ def test_spectrum_matches_generic_matrix_evaluation(rng):
         model = kp.build_drift_y(steady, params)
         w = float(rng.uniform(-3.0, 3.0))
         th = float(rng.uniform(-math.pi, math.pi))
-        fast = kp.quadrature_spectrum(model, w, th)
-        assert fast == pytest.approx(spectrum_by_matrix(model, w, th),
+        fast = float(kp.noise_spectrum(model, [w], [th]).values[0, 0])
+        assert fast == pytest.approx(ref.quadrature_spectrum(model, w, th),
                                      rel=1e-10)
 
 
@@ -228,7 +227,7 @@ def test_noise_spectrum_grid_matches_pointwise(rng):
     for i, w in enumerate(omegas):
         for j, th in enumerate(thetas):
             assert grid.values[i, j] == pytest.approx(
-                kp.quadrature_spectrum(model, float(w), float(th)), rel=1e-10)
+                ref.quadrature_spectrum(model, float(w), float(th)), rel=1e-10)
 
 
 def test_spectrum_symmetries(rng):
@@ -237,12 +236,11 @@ def test_spectrum_symmetries(rng):
         model = kp.build_drift_y(steady, params)
         w = float(rng.uniform(0.1, 3.0))
         th = float(rng.uniform(-math.pi, math.pi))
-        s = kp.quadrature_spectrum(model, w, th)
+        (s, s_shifted), (s_minus, _) = kp.noise_spectrum(
+            model, [w, -w], [th, th + math.pi]).values
         assert s >= 0.0
-        assert s == pytest.approx(kp.quadrature_spectrum(model, -w, th),
-                                  rel=1e-10)
-        assert s == pytest.approx(
-            kp.quadrature_spectrum(model, w, th + math.pi), rel=1e-10)
+        assert s == pytest.approx(s_minus, rel=1e-10)
+        assert s == pytest.approx(s_shifted, rel=1e-10)
 
 
 def test_min_max_flat_spectrum_convention():
@@ -286,6 +284,55 @@ def test_min_max_agrees_with_dense_theta_grid(rng):
         dist = abs(math.remainder(theta_min - grid_theta_min, math.pi))
         assert dist <= spacing
         assert -math.pi / 2 < theta_min <= math.pi / 2
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from("xy"),
+       omegas=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40))
+def test_min_max_columns_have_the_bits_of_scalar_calls(seed, mode, omegas):
+    # one path: the columns over a frequency array are, element by element,
+    # the floats that one frequency at a time gives
+    params, steady = draw_operating_point(np.random.default_rng(seed),
+                                          require_x_stable=mode == "x")
+    build = kp.build_drift_x if mode == "x" else kp.build_drift_y
+    model = build(steady, params)
+    columns = kp.min_max_spectrum(model, np.array(omegas))
+    scalars = [kp.min_max_spectrum(model, w) for w in omegas]
+    for column, values in zip(columns, zip(*scalars)):
+        assert all(type(value) is float for value in values)
+        assert bits(column) == bits(values)
+
+
+def remainder_fold(theta):
+    """The fold into (-pi/2, pi/2] through math.remainder, one float."""
+    theta = math.remainder(theta, math.pi)
+    return theta + math.pi if theta <= -math.pi / 2.0 else theta
+
+
+FOLD_EDGES = [k * math.pi / 2.0 for k in range(-6, 7)] + [
+    math.nextafter(k * math.pi / 2.0, direction)
+    for k in (-2, -1, 1, 2) for direction in (-math.inf, math.inf)] + [
+    -0.0, 1e300, -1e300, 5e-324]
+
+
+@settings(max_examples=200, deadline=None)
+@given(thetas=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       max_size=50))
+def test_fold_angle_has_the_bits_of_the_remainder_fold(thetas):
+    # fmod and the one +/-pi step are exact, so the array fold equals
+    # math.remainder's, at +/-pi/2 and +/-pi too; a float stays a float
+    thetas = thetas + FOLD_EDGES
+    want = [remainder_fold(theta) for theta in thetas]
+    assert bits(kp.fold_angle(np.array(thetas))) == bits(want)
+    scalars = [kp.fold_angle(theta) for theta in thetas]
+    assert all(type(value) is float for value in scalars)
+    assert bits(scalars) == bits(want)
+    assert kp.fold_angle(math.pi / 2.0) == kp.fold_angle(-math.pi / 2.0) \
+        == math.pi / 2.0
 
 
 def test_purity_product_for_lossless_reactive_models(rng):

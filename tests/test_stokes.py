@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import kerrpol as kp
 
+import spectra_reference as ref
 from conftest import (draw_operating_point, make_params, squeezed_to_angle,
                       steady_at)
 
@@ -46,14 +48,12 @@ def test_stokes_means_global_phase_invariant():
 def test_vacuum_spectrum_gives_coherent_stokes_noise():
     thetas = np.array([0.0, math.pi / 2])
     spec = flat_vacuum_spectrum(omegas=(0.3, 0.9), thetas=thetas)
-    records = kp.stokes_noise(spec, 50.0 + 0j)
-    assert len(records) == 2
-    for r in records:
-        assert r.v_s2_norm == pytest.approx(1.0, abs=1e-9)
-        assert r.v_s3_norm == pytest.approx(1.0, abs=1e-9)
-        assert r.v_s2 == pytest.approx(2500.0, rel=1e-9)
-        assert r.mean_s0 == r.mean_s1 == pytest.approx(2500.0)
-        assert r.mean_s2 == r.mean_s3 == 0.0
+    v_s2, v_s3, product = kp.stokes_noise(spec)
+    assert v_s2.shape == v_s3.shape == product.shape == (2,)
+    assert np.allclose(v_s2, 1.0, rtol=0.0, atol=1e-9)
+    assert np.allclose(v_s3, 1.0, rtol=0.0, atol=1e-9)
+    assert kp.stokes_means(50.0 + 0j) == pytest.approx(
+        (2500.0, 2500.0, 0.0, 0.0))
 
 
 def test_phase_squeezed_y_mode_squeezes_s3():
@@ -62,10 +62,10 @@ def test_phase_squeezed_y_mode_squeezes_s3():
     thetas = np.array([0.0, math.pi / 2])
     omega = 0.6
     spec = kp.noise_spectrum(model, [omega], thetas)
-    rec = kp.stokes_noise(spec, steady.alpha_x)[0]
-    assert rec.v_s3_norm < 1.0
-    assert rec.v_s2_norm > 1.0
-    assert rec.uncertainty_product >= 1.0 - 1e-6
+    (v_s2,), (v_s3,), (product,) = kp.stokes_noise(spec)
+    assert v_s3 < 1.0
+    assert v_s2 > 1.0
+    assert product >= 1.0 - 1e-6
 
 
 def test_uncertainty_product_is_one_pre_loss(rng):
@@ -74,23 +74,35 @@ def test_uncertainty_product_is_one_pre_loss(rng):
         params, steady = draw_operating_point(rng)
         model = kp.build_drift_y(steady, params)
         spec = kp.noise_spectrum(model, [float(rng.uniform(0.0, 2.0))], thetas)
-        rec = kp.stokes_noise(spec, steady.alpha_x)[0]
+        _, _, (product,) = kp.stokes_noise(spec)
         # S(0)*S(pi/2) >= Smin*Smax = 1 with equality when the squeezing
         # axes align with the measured pair; always within the slack above 1
-        assert rec.uncertainty_product >= 1.0 - 1e-6
+        assert product >= 1.0 - 1e-6
 
 
 def test_aligned_axes_saturate_uncertainty_product():
     p, steady, model = squeezed_to_angle(math.pi / 2)
     spec = kp.noise_spectrum(model, [0.6], np.array([0.0, math.pi / 2]))
-    rec = kp.stokes_noise(spec, steady.alpha_x)[0]
-    assert rec.uncertainty_product == pytest.approx(1.0, abs=1e-4)
+    _, _, (product,) = kp.stokes_noise(spec)
+    assert product == pytest.approx(1.0, abs=1e-4)
 
 
 def test_stokes_noise_requires_both_phases():
     spec = flat_vacuum_spectrum(thetas=np.array([0.0]))
     with pytest.raises(kp.ValidationError):
-        kp.stokes_noise(spec, 1.0 + 0j)
+        kp.stokes_noise(spec)
+
+
+@pytest.mark.parametrize("value", [0.5, math.nan])
+def test_stokes_noise_refuses_a_product_below_the_bound(value):
+    # V_S2 * V_S3 >= alpha_x^4 is checked here, once: a violation and a NaN
+    # are numerical failures alike
+    spec = kp.NoiseSpectrum(omega=np.array([0.3, 0.9]),
+                            theta=np.array([0.0, math.pi / 2.0]),
+                            values=np.array([[1.0, 1.0], [0.5, value]]),
+                            mode_label="y")
+    with pytest.raises(kp.NumericalError, match="uncertainty product"):
+        kp.stokes_noise(spec)
 
 
 def test_stokes_noise_rejects_the_driven_mode_spectrum():
@@ -100,7 +112,7 @@ def test_stokes_noise_rejects_the_driven_mode_spectrum():
     thetas = np.array([0.0, math.pi / 2])
     spec_x = kp.noise_spectrum(kp.build_drift_x(steady, p), [0.4], thetas)
     with pytest.raises(kp.ValidationError, match="orthogonal-mode"):
-        kp.stokes_noise(spec_x, steady.alpha_x)
+        kp.stokes_noise(spec_x)
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +122,12 @@ def test_stokes_theta_endpoints_reproduce_s2_s3():
     p, steady, model = squeezed_setup()
     thetas = np.array([0.0, math.pi / 2, 0.4])
     spec = kp.noise_spectrum(model, [0.5, 1.5], thetas)
-    rec = kp.stokes_noise(spec, steady.alpha_x)
+    v_s2, v_s3, product = kp.stokes_noise(spec)
     v0 = spec.at_theta(0.0)
     v90 = spec.at_theta(math.pi / 2)
-    assert v0[0] == rec[0].v_s2_norm and v0[1] == rec[1].v_s2_norm
-    assert v90[0] == rec[0].v_s3_norm and v90[1] == rec[1].v_s3_norm
+    assert v0[0] == v_s2[0] and v0[1] == v_s2[1]
+    assert v90[0] == v_s3[0] and v90[1] == v_s3[1]
+    assert product.tolist() == [v_s2[0] * v_s3[0], v_s2[1] * v_s3[1]]
 
 
 def test_s0_s1_noise_is_driven_mode_amplitude_quadrature():
@@ -126,7 +139,7 @@ def test_s0_s1_noise_is_driven_mode_amplitude_quadrature():
     v01 = spec_x.at_theta(0.0)
     for k, w in enumerate(omegas):
         assert v01[k] == pytest.approx(
-            kp.quadrature_spectrum(model_x, float(w), 0.0), rel=1e-10)
+            ref.quadrature_spectrum(model_x, float(w), 0.0), rel=1e-10)
 
 
 def test_stokes_theta_flat_spectrum_is_one_everywhere():
@@ -143,7 +156,7 @@ def test_stokes_theta_equals_engine_quadrature_everywhere(rng):
     thetas = np.linspace(-math.pi, math.pi, 17)
     spec = kp.noise_spectrum(model, [0.8], thetas)
     for th in thetas:
-        direct = kp.quadrature_spectrum(model, 0.8, float(th))
+        direct = ref.quadrature_spectrum(model, 0.8, float(th))
         assert spec.at_theta(float(th))[0] == pytest.approx(
             direct, rel=1e-10)
 
@@ -216,9 +229,43 @@ def test_phase_scan_flat_for_vacuum():
     steady = kp.steady_states(p, kp.DriveField(alpha_in=0j), 1.0)[0]
     model = kp.build_drift_y(steady, p)
     thetas = np.linspace(-math.pi, math.pi, 73)
-    ds = kp.phase_scan_dataset(model, 0.5, thetas, eta=1.0)
-    assert np.allclose(ds.v_theta, 1.0, atol=1e-9)
-    assert np.array_equal(ds.cos_theta, np.cos(thetas))
+    theta_hd, cos_theta, v_theta = kp.phase_scan_dataset(model, 0.5, thetas,
+                                                         eta=1.0)
+    assert np.allclose(v_theta, 1.0, atol=1e-9)
+    assert np.array_equal(theta_hd, thetas)
+    assert np.array_equal(cos_theta, np.cos(thetas))
+
+
+def test_phase_scan_columns_cover_the_frequency_grid():
+    # frequency by frequency, each block the one-frequency scan's bits
+    _, _, model = squeezed_setup()
+    thetas = np.linspace(-math.pi, math.pi, 37)
+    omegas = np.array([0.2, 0.6, 1.4])
+    columns = kp.phase_scan_dataset(model, omegas, thetas, eta=0.718)
+    assert all(column.shape == (omegas.size * thetas.size,)
+               for column in columns)
+    for i, omega in enumerate(omegas.tolist()):
+        block = slice(i * thetas.size, (i + 1) * thetas.size)
+        for column, single in zip(columns, kp.phase_scan_dataset(
+                model, omega, thetas, eta=0.718)):
+            assert column[block].tolist() == single.tolist()
+    assert np.array_equal(columns[1], np.cos(columns[0]))
+
+
+@pytest.mark.parametrize("defect", ["vacuum term dropped", "nan"])
+def test_phase_scan_refuses_noise_under_the_loss_floor(monkeypatch, defect):
+    # the loss floor 1 - eta is checked here, once: noise below it and a
+    # NaN are numerical failures alike
+    if defect == "nan":
+        real = kp.stokes.noise_spectrum
+        monkeypatch.setattr(kp.stokes, "noise_spectrum", lambda *args: replace(
+            real(*args), values=real(*args).values * math.nan))
+    else:
+        monkeypatch.setattr(kp.stokes, "apply_detection_loss",
+                            lambda s, eta: eta * s)
+    _, _, model = squeezed_setup()
+    with pytest.raises(kp.NumericalError, match="loss floor"):
+        kp.phase_scan_dataset(model, [0.6], [0.0, 1.0], eta=0.3)
 
 
 def test_phase_scan_center_dip_topology():
@@ -226,10 +273,11 @@ def test_phase_scan_center_dip_topology():
     # oscilloscope picture
     _, _, model = squeezed_to_angle(math.pi / 2)
     thetas = np.linspace(-math.pi, math.pi, 721)
-    ds = kp.phase_scan_dataset(model, 0.6, thetas, eta=0.718)
-    k = int(np.argmin(ds.v_theta))
-    assert abs(ds.cos_theta[k]) < 0.01
-    assert ds.v_theta[k] >= 1.0 - 0.718
+    _, cos_theta, v_theta = kp.phase_scan_dataset(model, 0.6, thetas,
+                                                  eta=0.718)
+    k = int(np.argmin(v_theta))
+    assert abs(cos_theta[k]) < 0.01
+    assert v_theta[k] >= 1.0 - 0.718
 
 
 def test_phase_scan_two_lobed_topology_at_30_degrees():
@@ -237,16 +285,17 @@ def test_phase_scan_two_lobed_topology_at_30_degrees():
     # degrees, which fold onto cos(theta) = +/-0.866: the two-lobe picture
     _, _, model = squeezed_to_angle(math.radians(30.0))
     thetas = np.linspace(-math.pi, math.pi, 1441)
-    ds = kp.phase_scan_dataset(model, 0.6, thetas, eta=0.718)
+    theta_hd, cos_theta, v_theta = kp.phase_scan_dataset(model, 0.6, thetas,
+                                                         eta=0.718)
     spacing = float(thetas[1] - thetas[0])
     target = math.radians(30.0)
-    pos = ds.theta_hd > 0
-    k_pos = int(np.argmin(np.where(pos, ds.v_theta, np.inf)))
-    k_neg = int(np.argmin(np.where(~pos, ds.v_theta, np.inf)))
+    pos = theta_hd > 0
+    k_pos = int(np.argmin(np.where(pos, v_theta, np.inf)))
+    k_neg = int(np.argmin(np.where(~pos, v_theta, np.inf)))
     for k in (k_pos, k_neg):
-        assert abs(math.remainder(ds.theta_hd[k] - target, math.pi)) <= spacing
-    assert ds.cos_theta[k_pos] == pytest.approx(math.cos(target), abs=2e-2)
-    assert ds.cos_theta[k_neg] == pytest.approx(-math.cos(target), abs=2e-2)
+        assert abs(math.remainder(theta_hd[k] - target, math.pi)) <= spacing
+    assert cos_theta[k_pos] == pytest.approx(math.cos(target), abs=2e-2)
+    assert cos_theta[k_neg] == pytest.approx(-math.cos(target), abs=2e-2)
 
 
 def test_phase_scan_respects_loss_floor(rng):
@@ -254,11 +303,11 @@ def test_phase_scan_respects_loss_floor(rng):
     model = kp.build_drift_y(steady, params)
     thetas = np.linspace(-math.pi, math.pi, 181)
     eta = 0.6
-    ds = kp.phase_scan_dataset(model, 0.4, thetas, eta=eta)
-    assert np.all(ds.v_theta >= 1.0 - eta)
+    _, _, v_theta = kp.phase_scan_dataset(model, 0.4, thetas, eta=eta)
+    assert np.all(v_theta >= 1.0 - eta)
     # pre-loss values recoverable
     bare = kp.noise_spectrum(model, [0.4], thetas).values[0]
-    assert np.allclose(kp.recover_lossless(ds.v_theta, eta), bare, atol=1e-12)
+    assert np.allclose(kp.recover_lossless(v_theta, eta), bare, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +342,12 @@ def test_purity_on_whole_grids(point):
 @settings(max_examples=100, deadline=None)
 @given(point=stable_points("y"), eta=st.floats(0.05, 1.0))
 def test_stokes_uncertainty_on_whole_grids(point, eta):
-    _, steady, model = point
+    _, _, model = point
     spec = kp.noise_spectrum(model, GRID_OMEGAS, [0.0, math.pi / 2.0])
-    for record in kp.stokes_noise(spec, steady.alpha_x):
-        assert record.uncertainty_product >= 1.0 - 1e-9
-        assert (kp.apply_detection_loss(record.v_s2_norm, eta)
-                * kp.apply_detection_loss(record.v_s3_norm, eta)
-                >= 1.0 - 1e-9)
+    v_s2, v_s3, product = kp.stokes_noise(spec)
+    assert np.all(product >= 1.0 - 1e-9)
+    assert np.all(kp.apply_detection_loss(v_s2, eta)
+                  * kp.apply_detection_loss(v_s3, eta) >= 1.0 - 1e-9)
     lossy = kp.apply_detection_loss(spec.values, eta)
     assert np.all(lossy[:, 0] * lossy[:, 1] >= 1.0 - 1e-9)
 

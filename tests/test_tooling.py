@@ -45,6 +45,17 @@ def test_one_stability_gate():
     assert len(sites) == 1 and sites[0].startswith("spectra.py:")
 
 
+def test_each_stokes_invariant_is_raised_once():
+    # the loss floor and the uncertainty bound are each checked at one site,
+    # where their column is made, and a violation and a NaN alike raise
+    # NumericalError, so every caller exits 2 on either
+    for words in ("loss floor", "uncertainty product"):
+        raises = [(name, ast.unparse(node.exc.func))
+                  for name, node in _package_nodes()
+                  if isinstance(node, ast.Raise) and words in ast.unparse(node)]
+        assert raises == [("stokes.py", "NumericalError")], words
+
+
 def test_files_are_opened_for_writing_only_in_write_files():
     # every output goes through tables.write_files, which writes temporary
     # names and renames them into place all or none
