@@ -103,12 +103,11 @@ def phase_scan_dataset(model_y: FluctuationModel, omega_grid, theta_grid,
     abscissa, giving the characteristic two-branch curves.  Noise below the
     loss floor 1 - eta, or NaN, raises ``NumericalError``.
     """
-    theta = np.atleast_1d(np.asarray(theta_grid, dtype=float))
-    spectrum = noise_spectrum(model_y, omega_grid, theta)
+    spectrum = noise_spectrum(model_y, omega_grid, theta_grid)
     v_theta = apply_detection_loss(spectrum.values.ravel(), eta)
     below = ~(v_theta >= 1.0 - eta - 1e-12)
     if below.any():
         raise NumericalError(
             f"scan noise {v_theta[below][0]:.6g} under the loss floor")
-    rows = spectrum.omega.size
+    theta, rows = spectrum.theta, spectrum.omega.size
     return np.tile(theta, rows), np.tile(np.cos(theta), rows), v_theta
