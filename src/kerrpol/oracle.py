@@ -33,9 +33,9 @@ the pair over its (n, 2) noise buffer, one chunk of CHUNK steps per call; its
 output does not depend on how the run is split into chunks of whole blocks.
 ``oracle_psd`` streams each chunk into the Welch sums, so its memory is
 O(CHUNK), not O(steps).  A chunk's noise is drawn into one buffer that the
-kernel then overwrites with X; one helper thread draws the next chunk and
-runs Welch on the previous one while the kernel runs.  Output depends on
-neither chunking nor thread.
+kernel then overwrites with X, and Welch reads it on the same thread right
+after; one helper thread only draws the next chunk's noise while the kernel
+runs.  Output does not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ from .steady import drift_radicand
 MAX_STEP_FRACTION = 0.1   # dt * |m11| above this is too coarse to trust
 CHUNK = 1 << 16   # steps per kernel call, whole blocks; sets the scratch size
 # Welch transforms up to BATCH_SEGMENTS segments per FFT call, fewer when
-# they would exceed BATCH_SAMPLES samples, never fewer than one: few calls
-# per segment keep the helper thread's interpreter-lock handoffs with the
-# kernel loop rare, and the sample cap bounds the batch buffers
+# they would exceed BATCH_SAMPLES samples, never fewer than one; the sample
+# cap bounds the batch buffers.  The groups set the order in which segment
+# moments are summed, so changing the batch changes the estimates' last bits
 BATCH_SEGMENTS = 8
 BATCH_SAMPLES = 1 << 16
 # index pairs into (a, b, r) of the second moments a^2, b^2, r^2, ab, ar, br
@@ -150,10 +150,9 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
 
     Chunk k lives in one buffer, ``rows(k, done, m)`` of shape (m, 2): its
     noise is drawn into it, then on this thread the kernel writes the chunk's
-    quadratures (X_0, X_pi/2) over it, while one helper thread draws chunk
-    k+1 and runs ``sink(done, buffer)`` on chunk k-1.  The helper runs its
-    queue in order, and draw k+1 is queued after sink k-1, so sink k-1 ends
-    before draw k+1 writes; two buffers can alternate.
+    quadratures (X_0, X_pi/2) over it and ``sink(done, buffer)`` reads them,
+    while one helper thread draws chunk k+1.  Chunk k-1 was integrated and
+    sunk before that draw was submitted, so two buffers can alternate.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -172,19 +171,14 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
     a = 0j
     with ThreadPoolExecutor(max_workers=1) as pool:
         noise = pool.submit(draw, rows(0, *spans[0]))
-        sunk = []
         for k, (done, _) in enumerate(spans):
             buf = noise.result()
             if k + 1 < len(spans):
                 noise = pool.submit(draw, rows(k + 1, *spans[k + 1]))
-            if k >= 2:
-                sunk[k - 2].result()    # passes a sink's error on
             a = _kernel.integrate_em(
                 complex(model.m11), complex(model.m12), float(model.kappa),
                 float(cfg.dt), buf, a)
-            sunk.append(pool.submit(sink, done, buf))
-        for future in sunk[-2:]:
-            future.result()
+            sink(done, buf)
 
 
 def simulate(model: FluctuationModel,

@@ -39,8 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (SingularTransferError, UnstableModelError,
-                     ValidationError)
+from .errors import (NumericalError, SingularTransferError,
+                     UnstableModelError, ValidationError)
 from .params import PhysicalParams
 from .steady import (SteadyState, drift_margin, kerr_coefficient,
                      linear_dephasing, linearized_drift)
@@ -258,6 +258,7 @@ def noise_spectrum(model: FluctuationModel, omega_grid,
 
     Uses the sinusoidal phase decomposition; agrees pointwise with the
     quadratic form u_theta . T(w) . C . T(-w)^T . u_theta^T (tested).
+    Noise below zero, or NaN, raises ``NumericalError``.
     """
     model.require_stable()
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
@@ -265,6 +266,10 @@ def noise_spectrum(model: FluctuationModel, omega_grid,
     iso, conj = _phase_quadratic(model, omega)
     values = iso[:, None] + np.real(np.exp(-2j * theta)[None, :] * conj[:, None])
     values = np.where(np.abs(values) < 1e-15, 0.0, values)
+    below = ~(values >= 0.0)
+    if below.any():
+        raise NumericalError(
+            f"computed quadrature noise {values[below][0]:.6g} is not >= 0")
     return NoiseSpectrum(omega=omega, theta=theta, values=values,
                          mode_label=model.mode_label)
 

@@ -471,19 +471,46 @@ def test_stokes_flat_vacuum_scan_is_unity(tmp_path):
 
 @pytest.mark.parametrize("check", ["loss_floor", "uncertainty"])
 def test_stokes_recheck_failure_exits_2(tmp_path, capsys, monkeypatch, check):
-    # a defect in the spectrum's phase quadratic: NaN fails the loss floor,
-    # halved noise (V_S2 * V_S3 = 1/4) the uncertainty bound; each check
-    # raises, so it also holds under python -O
-    real = kp.spectra._phase_quadratic
-    factor = math.nan if check == "loss_floor" else 0.5
-    monkeypatch.setattr(kp.spectra, "_phase_quadratic", lambda *args: tuple(
-        factor * part for part in real(*args)))
+    # a NaN from the loss step fails the loss floor, halved noise from the
+    # spectrum's phase quadratic (V_S2 * V_S3 = 1/4) the uncertainty bound;
+    # each check raises, so it also holds under python -O
+    if check == "loss_floor":
+        monkeypatch.setattr(kp.stokes, "apply_detection_loss",
+                            lambda s, eta: np.full_like(s, math.nan))
+    else:
+        real = kp.spectra._phase_quadratic
+        monkeypatch.setattr(kp.spectra, "_phase_quadratic", lambda *args:
+                            tuple(0.5 * part for part in real(*args)))
     code = cli.main(["stokes", "--config", FIXTURE, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert ("loss floor" if check == "loss_floor"
             else "uncertainty product") in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "stokes"])
+@pytest.mark.parametrize("defect", ["negative", "nan"])
+def test_computed_spectrum_below_zero_exits_2_without_file(
+        tmp_path, capsys, monkeypatch, command, defect):
+    # a defect that drives the computed noise below zero, or to NaN, is a
+    # numerical failure of noise_spectrum, not a config error
+    real = kp.spectra._phase_quadratic
+
+    def broken(*args):
+        iso, conj = real(*args)
+        if defect == "nan":
+            return iso * math.nan, conj
+        return iso - (np.abs(iso) + np.abs(conj) + 0.5), conj
+
+    monkeypatch.setattr(kp.spectra, "_phase_quadratic", broken)
+    code = cli.main([command, "--config", FIXTURE, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: computed quadrature noise ")
+    assert err.endswith(" is not >= 0\n")
+    assert ("nan" in err) == (defect == "nan")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -689,6 +689,69 @@ def test_kernel_failure_reaches_the_caller_and_stops_the_helper(monkeypatch):
     assert threading.active_count() == baseline
 
 
+def test_welch_failure_reaches_the_caller_and_stops_the_helper(monkeypatch):
+    # Welch runs on the caller right after the kernel, so a feed that fails
+    # on chunk 2 stops the run before the kernel sees chunk 3
+    model, _ = squeezing_model()
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=8 * N * 0.01, seed=2)
+    real_feed, real_kernel = oracle._Welch.feed, _kernel.integrate_em
+    feeds, kernels = [], []
+
+    def failing(self, rows):
+        feeds.append(1)
+        if len(feeds) == 3:
+            raise FloatingPointError("Welch failed mid-run")
+        return real_feed(self, rows)
+
+    def counted(*args):
+        kernels.append(1)
+        return real_kernel(*args)
+
+    baseline = threading.active_count()
+    monkeypatch.setattr(oracle._Welch, "feed", failing)
+    monkeypatch.setattr(_kernel, "integrate_em", counted)
+    with pytest.raises(FloatingPointError, match="mid-run"):
+        chunked(N, lambda: kp.oracle_psd(model, cfg, 512))
+    assert len(feeds) == 3 and len(kernels) == 3
+    assert threading.active_count() == baseline
+
+
+def test_only_draws_leave_the_calling_thread(monkeypatch):
+    # the kernel and Welch run on the caller; one helper thread runs the
+    # pool's tasks, and every task is a chunk's noise draw
+    from concurrent.futures import ThreadPoolExecutor
+    model, _ = squeezing_model()
+    cfg = kp.TrajectoryConfig(dt=0.01, duration=(5 * N + 300) * 0.01, seed=4)
+    real_submit, real_feed = ThreadPoolExecutor.submit, oracle._Welch.feed
+    real_kernel = _kernel.integrate_em
+    tasks, helpers, feeds, kernels = [], set(), [], []
+
+    def submit(self, fn, *args):
+        tasks.append(fn.__name__)
+
+        def run():
+            helpers.add(threading.get_ident())
+            return fn(*args)
+        return real_submit(self, run)
+
+    def feed(self, rows):
+        feeds.append(threading.get_ident())
+        return real_feed(self, rows)
+
+    def kernel(*args):
+        kernels.append(threading.get_ident())
+        return real_kernel(*args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+    monkeypatch.setattr(oracle._Welch, "feed", feed)
+    monkeypatch.setattr(_kernel, "integrate_em", kernel)
+    chunked(N, lambda: kp.oracle_psd(model, cfg, 512))
+    caller = threading.get_ident()
+    assert tasks == ["draw"] * 6
+    assert len(helpers) == 1 and caller not in helpers
+    assert feeds == kernels == [caller] * 6
+
+
 def test_concurrent_oracle_psd_calls_stay_bit_identical():
     # four callers, each with its own helper thread, on a fast switch
     # interval: a draw or a Welch feed that ran out of order would show
@@ -752,17 +815,21 @@ def test_each_chunk_lives_in_one_buffer():
     # a chunk's noise is drawn into the buffer the kernel writes X over:
     # oracle_psd holds two chunk buffers and simulate none besides its
     # output, each plus the kernel's O(chunk) scratch, and oracle_psd also
-    # Welch's, set by its group of segments (the FFT's or the picked bins')
+    # Welch's, set by its group of segments (the FFT's or the picked bins').
+    # Welch runs after the kernel returns, so the FFT's transients do not
+    # stack on the kernel's scratch: the peak holds the larger of the two,
+    # and 0.2 of the kernel's term covers its excess over the FFT's
     model, _ = squeezing_model()
     chunk = oracle.CHUNK
     cfg = kp.TrajectoryConfig(dt=0.01, duration=(3 * chunk + 1000) * 0.01,
                               seed=3)
     kernel = 1.4 * chunk * 16           # see the kernel's scratch test
     group = oracle.BATCH_SAMPLES * 2 * 8    # a full group of segments
-    for bins, welch in ((None, 2.5 * group), ([1, 2, 5], group)):
+    for bins, welch, scratch in ((None, 2.5 * group, 0.2 * kernel),
+                                 ([1, 2, 5], group, kernel)):
         call = lambda: kp.oracle_psd(model, cfg, 4096, bins=bins)
         call()                                          # first-call imports
-        assert traced_peak(call) <= 2 * chunk * 2 * 8 + kernel + welch
+        assert traced_peak(call) <= 2 * chunk * 2 * 8 + scratch + welch
     assert (traced_peak(lambda: kp.simulate(model, cfg))
             <= cfg.n_steps * 2 * 8 + kernel)
 
