@@ -15,14 +15,11 @@ from .oracle import (ComparisonReport, PsdEstimate, QuadratureSeries,
                      psd_estimate, simulate, welch_psd)
 from .params import DriveField, PhysicalParams
 from .spectra import (FluctuationModel, NoiseSpectrum, build_drift_x,
-                      build_drift_y, drift_x_nonlinear, drift_y_nonlinear,
-                      fold_angle, min_max_spectrum, model_validity,
-                      noise_spectrum)
-from .steady import (ScanResult, SteadyState, cavity_scan, drive_for_intensity,
-                     kerr_coefficient, linear_dephasing, saturation,
-                     steady_state_residual, steady_states, turning_points)
-from .stokes import (apply_detection_loss, phase_scan_dataset,
-                     recover_lossless, stokes_means, stokes_noise)
+                      build_drift_y, fold_angle, min_max_spectrum,
+                      model_validity, noise_spectrum)
+from .steady import (ScanResult, SteadyState, cavity_scan, kerr_coefficient,
+                     linear_dephasing, saturation, steady_states)
+from .stokes import apply_detection_loss, phase_scan_dataset, stokes_noise
 
 __version__ = "0.1.0"
 
@@ -32,11 +29,8 @@ __all__ = [
     "QuadratureSeries", "ScanResult", "SingularTransferError", "SteadyState",
     "TrajectoryConfig", "UnstableModelError", "ValidationError",
     "apply_detection_loss", "build_drift_x", "build_drift_y", "cavity_scan",
-    "compare", "drift_x_nonlinear", "drift_y_nonlinear",
-    "drive_for_intensity", "fold_angle", "kernel_backend", "kerr_coefficient",
+    "compare", "fold_angle", "kernel_backend", "kerr_coefficient",
     "linear_dephasing", "min_max_spectrum", "model_validity",
     "noise_spectrum", "oracle_psd", "phase_scan_dataset", "psd_estimate",
-    "recover_lossless", "saturation", "simulate", "steady_state_residual",
-    "steady_states", "stokes_means", "stokes_noise", "turning_points",
-    "welch_psd",
+    "saturation", "simulate", "steady_states", "stokes_noise", "welch_psd",
 ]

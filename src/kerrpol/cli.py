@@ -75,7 +75,8 @@ class RunConfig:
     format: str = "csv"
 
 
-# most scan points a config may ask for; a scan at the cap still completes
+# most scan points, and most spectrum rows (theta grid plus min and max, per
+# frequency), a config may ask for; a run at the cap still completes
 MAX_SCAN_POINTS = 1_000_000
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _KEY_ORDER = [f.name for f in fields(RunConfig)]
@@ -121,18 +122,16 @@ def _line(cfg: RunConfig, key: str) -> str:
         else f"{key} = {value}"
 
 
-def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse a flat key=value configuration and check it as ``validate`` does.
+def parse_config(text: str, overrides: dict | None = None,
+                 command: str = "validate") -> RunConfig:
+    """Parse a flat key=value configuration and check it for ``command``.
 
     Unknown keys, duplicates, syntax problems and violated physical
     invariants are reported with the offending key and line number; keys
     absent from the file keep their defaults.  ``overrides`` (command-line
-    values) replace the file's and go through the same validation.
+    values) replace the file's and go through the same validation.  The
+    default ``validate`` runs every command's checks.
     """
-    return _parse(text, overrides, "validate")
-
-
-def _parse(text: str, overrides: dict | None, command: str) -> RunConfig:
     values: dict = {}
     lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -247,6 +246,7 @@ def _validate_config(cfg: RunConfig, lines: dict, command: str) -> None:
     if cfg.format not in ("csv", "json"):
         fail("format", "must be 'csv' or 'json'")
     point = command in ("spectrum", "stokes", "oracle", "validate")
+    grid = command in ("spectrum", "stokes", "validate")
     scan = command in ("scan", "validate")
     oracle = command in ("oracle", "validate")
     # a3 and a0 are alike at every detuning, so every command checks them at
@@ -268,6 +268,9 @@ def _validate_config(cfg: RunConfig, lines: dict, command: str) -> None:
     # the cubic checks keep the span finite
     if scan and not 2 <= _scan_points(cfg) <= MAX_SCAN_POINTS:
         fail("scan_step_mhz", f"must leave 2 to {MAX_SCAN_POINTS} scan points")
+    if grid and len(cfg.freqs_mhz) * (cfg.theta_points + 2) > MAX_SCAN_POINTS:
+        fail("theta_points", f"with {len(cfg.freqs_mhz)} frequencies, must "
+             f"leave at most {MAX_SCAN_POINTS} spectrum rows")
     if not oracle:
         return
     # the oracle's Welch segments and compared band, before any run; the
@@ -510,8 +513,8 @@ def _load_config(args) -> RunConfig:
             text = fh.read()
     flags = {"out_dir": args.out, "format": args.format,
              "oracle_seed": args.seed}
-    return _parse(text, {key: value for key, value in flags.items()
-                         if value is not None}, args.command)
+    return parse_config(text, {key: value for key, value in flags.items()
+                               if value is not None}, args.command)
 
 
 def main(argv=None) -> int:

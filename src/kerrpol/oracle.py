@@ -166,15 +166,16 @@ def _integrate(model: FluctuationModel, cfg: TrajectoryConfig,
         buf *= sigma
         return buf
 
-    spans = [(done, min(CHUNK, n_total - done))
-             for done in range(0, n_total, CHUNK)]
     a = 0j
     with ThreadPoolExecutor(max_workers=1) as pool:
-        noise = pool.submit(draw, rows(0, *spans[0]))
-        for k, (done, _) in enumerate(spans):
+        noise = pool.submit(draw, rows(0, 0, min(CHUNK, n_total)))
+        # a lazy range: the chunk plan is O(1) whatever the duration
+        for k, done in enumerate(range(0, n_total, CHUNK)):
             buf = noise.result()
-            if k + 1 < len(spans):
-                noise = pool.submit(draw, rows(k + 1, *spans[k + 1]))
+            ahead = done + CHUNK
+            if ahead < n_total:
+                noise = pool.submit(draw, rows(k + 1, ahead,
+                                               min(CHUNK, n_total - ahead)))
             a = _kernel.integrate_em(
                 complex(model.m11), complex(model.m12), float(model.kappa),
                 float(cfg.dt), buf, a)

@@ -42,8 +42,7 @@ import numpy as np
 from .errors import (NumericalError, SingularTransferError,
                      UnstableModelError, ValidationError)
 from .params import PhysicalParams
-from .steady import (SteadyState, drift_margin, kerr_coefficient,
-                     linear_dephasing, linearized_drift)
+from .steady import SteadyState, drift_margin, linearized_drift
 
 @dataclass(frozen=True)
 class FluctuationModel:
@@ -93,38 +92,6 @@ class FluctuationModel:
             raise UnstableModelError(
                 f"{self.mode_label}-mode fluctuations unstable{branch} "
                 f"(margin {self.stability_margin:.4g} rad/s)")
-
-
-def drift_x_nonlinear(a: complex, alpha_in: complex, params: PhysicalParams,
-                      delta_c: float) -> complex:
-    """Full nonlinear drift of the driven mode (self-Kerr, first-order sat.).
-
-    dA/dt = -[kappa + i*(delta_c - delta_0)]*A - i*delta_0*c*A^2*A+
-            + sqrt(2*kappa)*alpha_in
-    """
-    d0 = linear_dephasing(params)
-    c = kerr_coefficient(params)
-    return (-(params.kappa + 1j * (delta_c - d0)) * a
-            - 1j * d0 * c * a * a * a.conjugate()
-            + math.sqrt(2.0 * params.kappa) * alpha_in)
-
-
-def drift_y_nonlinear(b: complex, alpha_x: complex, params: PhysicalParams,
-                      delta_c: float) -> complex:
-    """Drift of the orthogonal mode in the field of the driven one.
-
-    dB/dt = -[kappa + i*(delta_c - delta_0)]*B
-            - i*delta_0*(c/2)*(2*|alpha_x|^2*B - alpha_x^2*B+)
-
-    The cross-Kerr bracket has a dephasing part (prop. |alpha_x|^2 B) and a
-    conjugate part (prop. alpha_x^2 B+) which is the one that squeezes.
-    """
-    d0 = linear_dephasing(params)
-    c = kerr_coefficient(params)
-    return (-(params.kappa + 1j * (delta_c - d0)) * b
-            - 1j * d0 * (c / 2.0)
-            * (2.0 * (abs(alpha_x) * abs(alpha_x)) * b
-               - alpha_x * alpha_x * b.conjugate()))
 
 
 def _build_drift(steady: SteadyState, params: PhysicalParams,

@@ -314,53 +314,6 @@ def steady_states(params: PhysicalParams, drive: DriveField,
     return branches
 
 
-def steady_state_residual(steady: SteadyState, params: PhysicalParams) -> float:
-    """|[kappa + i*(delta_c - delta_0*(1 - s))]*alpha_x - sqrt(2k)*alpha_in|."""
-    bracket = params.kappa + 1j * (steady.delta_c
-                                   - steady.delta_0 * (1.0 - steady.s_x))
-    return abs(bracket * steady.alpha_x
-               - math.sqrt(2.0 * params.kappa) * steady.alpha_in)
-
-
-def drive_for_intensity(params: PhysicalParams, delta_c: float,
-                        intensity: float) -> float:
-    """Incident photon flux P that sustains intracavity intensity I."""
-    d0 = linear_dephasing(params)
-    det = delta_c - d0 + d0 * kerr_coefficient(params) * intensity
-    return (intensity * (params.kappa * params.kappa + det * det)
-            / (2.0 * params.kappa))
-
-
-def turning_points(params: PhysicalParams,
-                   delta_c: float) -> list[tuple[float, float]]:
-    """Fold points (I, P) of the S-curve where dP/dI = 0, sorted by I.
-
-    Solving dP/dI = 0 with u = delta_0*c*I gives
-    3 u^2 + 4 (delta_c - delta_0) u + (delta_c - delta_0)^2 + kappa^2 = 0;
-    real solutions require |delta_c - delta_0| >= sqrt(3)*kappa and a sign of
-    u compatible with I > 0.
-    """
-    d0 = linear_dephasing(params)
-    c = kerr_coefficient(params)
-    slope = d0 * c
-    if slope == 0.0:
-        return []
-    dl = delta_c - d0
-    disc = dl * dl - 3.0 * (params.kappa * params.kappa)
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    points = []
-    for u in ((-2.0 * dl - sq) / 3.0, (-2.0 * dl + sq) / 3.0):
-        intensity = u / slope
-        if intensity <= 0.0:
-            continue
-        points.append((intensity,
-                       drive_for_intensity(params, delta_c, intensity)))
-    points.sort()
-    return points
-
-
 @dataclass(frozen=True, eq=False)
 class ScanResult:
     """Ordered cavity scan as columns, one row per detuning.

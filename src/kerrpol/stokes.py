@@ -42,12 +42,6 @@ from .spectra import FluctuationModel, NoiseSpectrum, noise_spectrum
 UNCERTAINTY_SLACK = 1e-6
 
 
-def stokes_means(alpha_x: complex) -> tuple[float, float, float, float]:
-    """Mean Stokes vector (S0, S1, S2, S3) for x-polarized light, flux units."""
-    intensity = abs(alpha_x) * abs(alpha_x)
-    return (intensity, intensity, 0.0, 0.0)
-
-
 def stokes_noise(spectrum_y: NoiseSpectrum):
     """Columns (v_s2_norm, v_s3_norm, uncertainty_product) over omega.
 
@@ -77,18 +71,6 @@ def apply_detection_loss(s, eta: float):
     if np.any(s < 0.0):
         raise ValidationError("noise must be non-negative")
     out = eta * s + (1.0 - eta)
-    return float(out) if out.ndim == 0 else out
-
-
-def recover_lossless(s_detected, eta: float):
-    """Invert the detection loss; defined only when the result is >= 0."""
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"eta must lie in (0, 1], got {eta}")
-    s_detected = np.asarray(s_detected, dtype=float)
-    out = (s_detected - (1.0 - eta)) / eta
-    if np.any(out < 0.0):
-        raise ValidationError(
-            "loss inversion produced negative noise: inconsistent eta claim")
     return float(out) if out.ndim == 0 else out
 
 

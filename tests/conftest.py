@@ -12,6 +12,8 @@ import pytest
 
 import kerrpol as kp
 
+from scan_reference import drive_for_intensity
+
 
 def make_params(delta0=-8.0, kappa=1.0, gamma_perp=0.26, gamma_par=0.26,
                 transmission=0.1, eta_det=0.718, g_coupling=1e-3,
@@ -37,7 +39,7 @@ def steady_at(params, delta_c, s_target):
     """Steady state with saturation ``s_target`` (drive solved to match)."""
     c = kp.kerr_coefficient(params)
     intensity = s_target / c
-    power = kp.drive_for_intensity(params, delta_c, intensity)
+    power = drive_for_intensity(params, delta_c, intensity)
     branches = kp.steady_states(params, kp.DriveField.from_power(power), delta_c)
     return min(branches, key=lambda b: abs(b.intensity - intensity))
 

@@ -6,6 +6,11 @@ margin written out as scalar formulas; the columns of ``kerrpol.cavity_scan``
 and the branches of ``kerrpol.steady_states`` must match it bit for bit.
 Takes the roots of ``kerrpol.steady._real_roots``, the one cubic solve all
 three share, and returns the tuple of records.
+
+The S-curve helpers are checks on the solve, not part of it:
+``drive_for_intensity`` is the cubic read backwards (the flux P that
+sustains an intensity I), ``turning_points`` its folds dP/dI = 0 in closed
+form, and ``steady_state_residual`` the complex steady-state relation.
 """
 
 import math
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kerrpol.steady import (SteadyState, _real_roots, linear_dephasing,
-                            linearized_drift)
+from kerrpol.steady import (SteadyState, _real_roots, kerr_coefficient,
+                            linear_dephasing, linearized_drift)
 
 
 @dataclass(frozen=True)
@@ -86,3 +91,40 @@ def cavity_scan(params, drive, delta_c_grid):
             linear_polarization_stable=selected.y_mode_margin < 0.0,
         ))
     return tuple(records)
+
+
+def steady_state_residual(steady, params):
+    """|[kappa + i*(delta_c - delta_0*(1 - s))]*alpha_x - sqrt(2k)*alpha_in|."""
+    bracket = params.kappa + 1j * (steady.delta_c
+                                   - steady.delta_0 * (1.0 - steady.s_x))
+    return abs(bracket * steady.alpha_x
+               - math.sqrt(2.0 * params.kappa) * steady.alpha_in)
+
+
+def drive_for_intensity(params, delta_c, intensity):
+    """Incident photon flux P that sustains intracavity intensity I."""
+    d0 = linear_dephasing(params)
+    det = delta_c - d0 + d0 * kerr_coefficient(params) * intensity
+    return (intensity * (params.kappa * params.kappa + det * det)
+            / (2.0 * params.kappa))
+
+
+def turning_points(params, delta_c):
+    """Fold points (I, P) of the S-curve where dP/dI = 0, sorted by I.
+
+    Solving dP/dI = 0 with u = delta_0*c*I gives
+    3 u^2 + 4 (delta_c - delta_0) u + (delta_c - delta_0)^2 + kappa^2 = 0;
+    real solutions require |delta_c - delta_0| >= sqrt(3)*kappa and a sign of
+    u compatible with I > 0.
+    """
+    d0 = linear_dephasing(params)
+    slope = d0 * kerr_coefficient(params)
+    dl = delta_c - d0
+    disc = dl * dl - 3.0 * (params.kappa * params.kappa)
+    if slope == 0.0 or disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    intensities = [u / slope for u in ((-2.0 * dl - sq) / 3.0,
+                                       (-2.0 * dl + sq) / 3.0)]
+    return sorted((i, drive_for_intensity(params, delta_c, i))
+                  for i in intensities if i > 0.0)

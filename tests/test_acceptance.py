@@ -17,6 +17,9 @@ import kerrpol as kp
 from kerrpol import cli
 
 from conftest import draw_operating_point, make_params, squeezed_to_angle, steady_at
+from scan_reference import turning_points
+from spectra_reference import drift_x_nonlinear, drift_y_nonlinear
+from stokes_reference import recover_lossless
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                        "default.cfg")
@@ -159,7 +162,7 @@ def test_criterion_4_bistability_correctness():
             for b, r in zip(branches, oracle_roots):
                 assert b.intensity == pytest.approx(r, rel=1e-7)
 
-            points = kp.turning_points(p, delta_c)
+            points = turning_points(p, delta_c)
             dl = delta_c - delta0
             if abs(dl) >= math.sqrt(3.0) * p.kappa + 0.05:
                 assert len(points) == 2
@@ -191,8 +194,8 @@ def test_criterion_5_jacobian_consistency():
 
             model_y = kp.build_drift_y(steady, params)
             m11, m12 = wirtinger(
-                lambda z: kp.drift_y_nonlinear(z, steady.alpha_x, params,
-                                               steady.delta_c), 0j, 1e-5)
+                lambda z: drift_y_nonlinear(z, steady.alpha_x, params,
+                                            steady.delta_c), 0j, 1e-5)
             assert abs(model_y.m11 - m11) <= 1e-6 * abs(model_y.m11)
             assert abs(model_y.m12 - m12) <= 1e-6 * max(
                 abs(model_y.m12), 1e-9 * abs(model_y.m11))
@@ -200,8 +203,8 @@ def test_criterion_5_jacobian_consistency():
             model_x = kp.build_drift_x(steady, params)
             scale = max(abs(steady.alpha_x), 1.0)
             m11, m12 = wirtinger(
-                lambda z: kp.drift_x_nonlinear(z, steady.alpha_in, params,
-                                               steady.delta_c),
+                lambda z: drift_x_nonlinear(z, steady.alpha_in, params,
+                                            steady.delta_c),
                 steady.alpha_x, 1e-5 * scale)
             assert abs(model_x.m11 - m11) <= 1e-6 * abs(model_x.m11)
             assert abs(model_x.m12 - m12) <= 1e-6 * max(
@@ -247,8 +250,8 @@ def test_criterion_7_loss_model_consistency():
         for _ in range(200):
             s = float(rng.uniform(0.0, 2.5))
             eta = float(rng.uniform(0.05, 1.0))
-            assert abs(kp.recover_lossless(kp.apply_detection_loss(s, eta),
-                                           eta) - s) <= 1e-12
+            assert abs(recover_lossless(kp.apply_detection_loss(s, eta),
+                                        eta) - s) <= 1e-12
 
 
 def test_criterion_8_phase_scan_topologies():

@@ -38,6 +38,23 @@ def write_config(tmp_path, *overrides):
 # ---------------------------------------------------------------------------
 # configuration parsing
 
+def test_commands_parse_through_parse_config(tmp_path, monkeypatch):
+    # the command line reads its config through the public parser, with the
+    # command it runs, so a wrapper on cli.parse_config sees every parse
+    calls = []
+    parse = cli.parse_config
+
+    def traced(*args):
+        calls.append(args[2:])
+        return parse(*args)
+
+    monkeypatch.setattr(cli, "parse_config", traced)
+    path = write_config(tmp_path)
+    assert cli.main(["validate", "--config", path]) == 0
+    assert cli.main(["template"]) == 0
+    assert calls == [("validate",), ("template",)]
+
+
 def test_template_round_trips_modulo_comments():
     template = cli.config_template()
     cfg = cli.parse_config(template)
@@ -319,6 +336,17 @@ def test_scan_step_too_fine_rejected_with_line_number(tmp_path, capsys,
         assert "config line 1: scan_step_mhz:" in err
         assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_spectrum_row_cap_is_inclusive(tmp_path, capsys):
+    # two frequencies of theta_points + 2 rows each: the phase grid takes
+    # the scan's cap, and every command that builds it names its key
+    for points, code in ((cli.MAX_SCAN_POINTS // 2 - 2, 0),
+                         (cli.MAX_SCAN_POINTS // 2 - 1, 1)):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"theta_points = {points}\n")
+        assert cli.main(["validate", "--config", str(path)]) == code
+    assert "config line 1: theta_points:" in capsys.readouterr().err
 
 
 def test_scan_point_cap_is_inclusive(tmp_path, capsys):
@@ -607,6 +635,10 @@ CONFIG_CHECKS = [
     ("scan_step_mhz = 1e-320", "line 1: scan_step_mhz",
      "must leave 2 to 1000000 scan points", {"scan"}),
     ("scan_stop_mhz = 1e300", "line 1: scan_stop_mhz", CUBIC, {"scan"}),
+    # 7 PiB of phase grid; the oracle reads only the first frequency
+    ("theta_points = 1000000000000000", "line 1: theta_points",
+     "with 2 frequencies, must leave at most 1000000 spectrum rows",
+     {"spectrum", "stokes"}),
     ("delta_c_mhz = 1e300", "line 1: delta_c_mhz", CUBIC,
      {"spectrum", "stokes", "oracle"}),
     ("n_atoms = 1e300", "line 1: n_atoms", CUBIC, set(COMMANDS)),
@@ -646,9 +678,10 @@ def test_validate_checks_what_every_command_checks():
     # draws near each check's limit: validate rejects a config exactly when
     # some command does, with the message of one that does
     rng = random.Random(23)
-    extremes = {"n_atoms": 1e300, "power_uw": 1e280,
-                "delta_mhz": 1e-300, "delta_c_mhz": 1e300,
-                "scan_stop_mhz": 1e300, "theta_points": 1}
+    extremes = [("n_atoms", 1e300), ("power_uw", 1e280),
+                ("delta_mhz", 1e-300), ("delta_c_mhz", 1e300),
+                ("scan_stop_mhz", 1e300), ("theta_points", 1),
+                ("theta_points", 10 ** 15)]
     failing = collections.Counter()
     for _ in range(600):
         cfg = replace(
@@ -656,8 +689,7 @@ def test_validate_checks_what_every_command_checks():
             oracle_duration=10.0 ** rng.uniform(-6.0, -4.0),
             oracle_segment_length=rng.choice([1024, 16384, 16384, 32768]),
             scan_step_mhz=10.0 ** rng.uniform(-5.0, 3.0),
-            **{key: value for key, value in extremes.items()
-               if rng.random() < 0.08})
+            **dict(pair for pair in extremes if rng.random() < 0.08))
         verdicts = {}
         for command in ("validate", "template", *COMMANDS):
             try:
@@ -671,7 +703,7 @@ def test_validate_checks_what_every_command_checks():
             assert rejected == {verdicts["template"]}
             assert all(c in verdicts for c in COMMANDS)
         failing[frozenset(c for c in COMMANDS if c in verdicts)] += 1
-    for only in (set(), {"scan"}, {"oracle"},
+    for only in (set(), {"scan"}, {"oracle"}, {"spectrum", "stokes"},
                  {"spectrum", "stokes", "oracle"}, set(COMMANDS)):
         assert failing[frozenset(only)] >= 20, failing
 

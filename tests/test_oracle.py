@@ -810,6 +810,22 @@ def test_oracle_psd_memory_is_flat_in_duration():
     extra_samples = (long.n_steps - short.n_steps) * 2 * 8   # (X_0, X_pi/2)
     assert whole[1] - whole[0] >= 0.95 * extra_samples
 
+    # nor does the chunk plan grow with the duration: up to the first kernel
+    # call, 10^5 chunks hold no per-chunk list (a list of their spans would
+    # take about 9 MB)
+    def kernel(*args):
+        raise RuntimeError("first kernel call")
+
+    def until_first_kernel_call():
+        with pytest.raises(RuntimeError, match="first kernel call"):
+            kp.oracle_psd(model, many, 64)
+
+    many = kp.TrajectoryConfig(dt=0.01, duration=64e5 * 0.01, seed=3)
+    assert many.n_steps == 64 * 10 ** 5
+    with mock.patch.object(oracle, "CHUNK", 64), \
+            mock.patch.object(_kernel, "integrate_em", kernel):
+        assert traced_peak(until_first_kernel_call) < 1e6
+
 
 def test_each_chunk_lives_in_one_buffer():
     # a chunk's noise is drawn into the buffer the kernel writes X over:

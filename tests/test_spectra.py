@@ -67,16 +67,16 @@ def test_drift_entries_match_finite_difference_jacobian(mode, rng):
             model = kp.build_drift_x(steady, params)
 
             def f(z):
-                return kp.drift_x_nonlinear(z, steady.alpha_in, params,
-                                            steady.delta_c)
+                return ref.drift_x_nonlinear(z, steady.alpha_in, params,
+                                             steady.delta_c)
 
             z0 = steady.alpha_x
         else:
             model = kp.build_drift_y(steady, params)
 
             def f(z):
-                return kp.drift_y_nonlinear(z, steady.alpha_x, params,
-                                            steady.delta_c)
+                return ref.drift_y_nonlinear(z, steady.alpha_x, params,
+                                             steady.delta_c)
 
             z0 = 0j
         scale = max(abs(z0), 1.0)

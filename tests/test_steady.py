@@ -9,6 +9,9 @@ import kerrpol as kp
 from kerrpol import steady
 
 import scan_reference
+from scan_reference import (drive_for_intensity, steady_state_residual,
+                            turning_points)
+from stokes_reference import stokes_means
 from conftest import make_params, steady_at
 
 
@@ -169,7 +172,7 @@ def test_bistable_regime_roots_match_bracketing_oracle(rng):
 def test_three_branches_between_turning_points():
     p = make_params(delta0=-8.0)
     delta_c = kp.linear_dephasing(p) + 3.0
-    (i_lo, p_hi), (i_hi, p_lo) = kp.turning_points(p, delta_c)
+    (i_lo, p_hi), (i_hi, p_lo) = turning_points(p, delta_c)
     power = 0.5 * (p_lo + p_hi)
     branches = kp.steady_states(p, kp.DriveField.from_power(power), delta_c)
     assert len(branches) == 3
@@ -190,7 +193,7 @@ def test_cubic_roots_near_the_folds(delta0, sign, dl, low_fold, eps):
     delta0 *= sign
     p = make_params(delta0=delta0)
     delta_c = kp.linear_dephasing(p) - sign * dl   # the fold side
-    (_, p_hi), (_, p_lo) = kp.turning_points(p, delta_c)
+    (_, p_hi), (_, p_lo) = turning_points(p, delta_c)
     # near the cusp the window is narrower than eps: stay inside it
     eps_in = min(eps, 0.25 * (p_hi - p_lo) / p_hi)
     if low_fold:
@@ -204,7 +207,7 @@ def test_cubic_roots_near_the_folds(delta0, sign, dl, low_fold, eps):
         for b in branches:
             bound = (kp.steady.RESIDUAL_RTOL * math.sqrt(2.0 * p.kappa)
                      * abs(b.alpha_in))
-            assert kp.steady_state_residual(b, p) <= bound
+            assert steady_state_residual(b, p) <= bound
             assert abs(b.alpha_in) ** 2 == pytest.approx(power, rel=1e-9)
 
 
@@ -217,7 +220,7 @@ def test_residual_invariant_on_random_draws(rng):
         drive = kp.DriveField.from_power(power)
         for b in kp.steady_states(p, drive, delta_c):
             bound = 1e-9 * math.sqrt(2.0 * p.kappa) * abs(b.alpha_in)
-            assert kp.steady_state_residual(b, p) <= bound
+            assert steady_state_residual(b, p) <= bound
             assert b.s_x == kp.saturation(b.alpha_x, p)
             assert abs(b.alpha_in) ** 2 == pytest.approx(power, rel=1e-6)
 
@@ -228,20 +231,20 @@ def test_residual_invariant_on_random_draws(rng):
 def test_turning_points_empty_when_monostable():
     p = make_params(delta0=-8.0)
     d0 = kp.linear_dephasing(p)
-    assert kp.turning_points(p, d0 + 1.0) == []     # |dl| < sqrt(3)
-    assert kp.turning_points(p, d0 - 3.0) == []     # wrong fold side
-    assert kp.turning_points(make_params(delta0=0.0), 2.0) == []
+    assert turning_points(p, d0 + 1.0) == []     # |dl| < sqrt(3)
+    assert turning_points(p, d0 - 3.0) == []     # wrong fold side
+    assert turning_points(make_params(delta0=0.0), 2.0) == []
 
 
 def test_turning_points_match_brute_force_extrema():
     p = make_params(delta0=-8.0)
     delta_c = kp.linear_dephasing(p) + 3.0
-    points = kp.turning_points(p, delta_c)
+    points = turning_points(p, delta_c)
     assert len(points) == 2
 
     c = kp.kerr_coefficient(p)
     grid = np.linspace(1e-6, 8.0 / (c * abs(kp.linear_dephasing(p))), 400001)
-    power = np.array([kp.drive_for_intensity(p, delta_c, i) for i in grid])
+    power = np.array([drive_for_intensity(p, delta_c, i) for i in grid])
     dp = np.diff(power)
     crossings = np.nonzero(np.sign(dp[1:]) != np.sign(dp[:-1]))[0] + 1
     assert len(crossings) == 2
@@ -249,7 +252,7 @@ def test_turning_points_match_brute_force_extrema():
         assert i_tp == pytest.approx(k, rel=1e-3)
     for i_tp, p_tp in points:
         assert p_tp == pytest.approx(
-            kp.drive_for_intensity(p, delta_c, i_tp), rel=1e-12)
+            drive_for_intensity(p, delta_c, i_tp), rel=1e-12)
 
 
 def test_turning_points_merge_at_bistability_onset():
@@ -257,7 +260,7 @@ def test_turning_points_merge_at_bistability_onset():
     d0 = kp.linear_dephasing(p)
     gaps = []
     for dl in (3.0, 2.2, 1.9, math.sqrt(3.0) + 1e-4):
-        pts = kp.turning_points(p, d0 + dl)
+        pts = turning_points(p, d0 + dl)
         assert len(pts) == 2
         gaps.append(pts[1][0] - pts[0][0])
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -268,7 +271,7 @@ def test_turning_points_merge_at_bistability_onset():
     for dl, expect_fold in ((math.sqrt(3.0) + 0.05, True),
                             (math.sqrt(3.0) - 0.05, False)):
         delta_c = d0 + dl
-        pts = kp.turning_points(p, delta_c)
+        pts = turning_points(p, delta_c)
         assert bool(pts) is expect_fold
         if pts:
             p_mid = 0.5 * (pts[0][1] + pts[1][1])
@@ -278,7 +281,7 @@ def test_turning_points_merge_at_bistability_onset():
         else:
             disc = cubic_discriminant(
                 kp.steady.cubic_coefficients(
-                    p, kp.drive_for_intensity(p, delta_c, 2.0 / abs(
+                    p, drive_for_intensity(p, delta_c, 2.0 / abs(
                         kp.kerr_coefficient(p) * d0)), delta_c))
             assert disc < 0.0
 
@@ -296,8 +299,8 @@ def test_branch_flags_equal_model_margins(delta0, sign, s, det_y):
     delta0 *= sign
     params = make_params(delta0=delta0)
     delta_c = delta0 * (1.0 - s) + det_y
-    power = kp.drive_for_intensity(params, delta_c,
-                                   s / kp.kerr_coefficient(params))
+    power = drive_for_intensity(params, delta_c,
+                                s / kp.kerr_coefficient(params))
     drive = kp.DriveField.from_power(power)
     for steady in kp.steady_states(params, drive, delta_c):
         model_x = kp.build_drift_x(steady, params)
@@ -377,7 +380,7 @@ def test_squares_are_correctly_rounded_products():
     for x in misrounded:
         # the mean Stokes intensity and the drive flux square the same way
         intensity = replace(state, alpha_x=complex(x)).intensity
-        assert kp.stokes_means(complex(x))[0] == intensity == x * x
+        assert stokes_means(complex(x))[0] == intensity == x * x
         assert kp.DriveField(alpha_in=complex(x)).power == x * x
 
 
@@ -428,11 +431,11 @@ def test_strong_drive_scan_jumps_at_lower_branch_fold():
     delta_jump = float(scan.delta_c[k])
     # at the jump detuning the disappearing branch sits at a fold whose drive
     # matches the applied drive
-    pts = kp.turning_points(p, delta_jump)
+    pts = turning_points(p, delta_jump)
     assert pts, "no fold at the jump detuning"
     closest = min(abs(pw - power) / power for _, pw in pts)
     grid_step = float(grid[1] - grid[0])
-    neighbors = kp.turning_points(p, delta_jump + grid_step)
+    neighbors = turning_points(p, delta_jump + grid_step)
     tol = max(closest, min(abs(pw - power) / power for _, pw in neighbors))
     assert tol < 0.02
     # the followed intensity right before the jump is near the fold intensity
@@ -542,7 +545,7 @@ def cubic_case(delta0, sign, dl, inside, width, n, case):
     delta0 *= sign
     p = make_params(delta0=delta0)
     delta_c = kp.linear_dephasing(p) - sign * dl
-    (_, p_hi), (_, p_lo) = kp.turning_points(p, delta_c)
+    (_, p_hi), (_, p_lo) = turning_points(p, delta_c)
     power = p_lo + inside * (p_hi - p_lo)
     if case == "no atoms":
         p = make_params(delta0=0.0)

