@@ -78,6 +78,9 @@ class RunConfig:
 # most scan points, and most spectrum rows (theta grid plus min and max, per
 # frequency), a config may ask for; a run at the cap still completes
 MAX_SCAN_POINTS = 1_000_000
+# most oracle steps (oracle_duration / oracle_dt) a config may ask for: 200
+# times default.cfg's 5M, which run in 0.37 s on a 2-core host, so about 75 s
+MAX_ORACLE_STEPS = 1_000_000_000
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _KEY_ORDER = [f.name for f in fields(RunConfig)]
 
@@ -277,6 +280,9 @@ def _validate_config(cfg: RunConfig, lines: dict, command: str) -> None:
     # segment count keeps the bin grid no longer than the trajectory
     try:
         traj = _trajectory(cfg)
+        if traj.n_steps > MAX_ORACLE_STEPS:
+            raise ValidationError(f"must span at most {MAX_ORACLE_STEPS} "
+                                  f"steps of oracle_dt, got {traj.n_steps}")
         welch_segments(traj.n_steps - traj.n_burn, cfg.oracle_segment_length,
                        cfg.oracle_overlap)
     except ValidationError as exc:

@@ -26,8 +26,8 @@ it has three real roots, Cardano's where it has one; the Newton polish and
 the merge run on the padded (n, 3) root array.  The same formulas, each
 square a product ``x * x``, give every branch's saturation and margins on
 arrays with the scalar bits.
-``cavity_scan`` runs this on its grid ``SCAN_BLOCK`` rows at a time, each
-row's bits independent of the block, and ``steady_states`` on a grid of one.
+``cavity_scan`` solves its grid ``SCAN_BLOCK`` (2,048) rows at a time, each
+row's bits independent of the block; ``steady_states``, a grid of one.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from .params import DriveField, PhysicalParams
 MERGE_RTOL = 1e-7
 # Acceptable steady-state residual, relative to the drive amplitude.
 RESIDUAL_RTOL = 1e-9
-# Scan rows solved, and held as Python objects by the continuation, at a time.
-SCAN_BLOCK = 16384
+# Scan rows solved and continued at a time: their solve temporaries (about
+# 1 MB) stay under one rendered block of the scan table; 8,000 rows span 4.
+SCAN_BLOCK = 2048
 # 2*pi*k, k = 0, 1, -1, for Viète's three real roots
 _TURNS = np.array([0.0, 2.0 * math.pi, -2.0 * math.pi])
 _HALF_SQRT3 = 0.5 * math.sqrt(3.0)
@@ -360,8 +361,8 @@ def cavity_scan(params: PhysicalParams, drive: DriveField,
     output photon flux 2*kappa*I while the linear polarization is stable.
     The branches come from the columnar solve ``steady_states`` runs on a
     grid of one, here ``SCAN_BLOCK`` rows at a time, so the memory beyond
-    the result's columns is set by the block; only the continuation runs
-    point by point, through one block's rows at a time.
+    the result's columns is set by the block (about 1 MB at 2,048 rows);
+    only the continuation runs point by point, one block's rows at a time.
     """
     grid = np.array(delta_c_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:

@@ -2,10 +2,11 @@
 
 A table is held as columns, each of one type plus missing cells (``None``
 in a list, or an explicit mask), and is rendered a block of rows at a time,
-each block bounded by its cell count (rows x columns): floats with ``repr``
-(shortest round-trip form), once per distinct bit pattern within each block
-of cells and indexed back to the cells, ints with ``str``, bools as
-``true``/``false``, strings as CSV fields or JSON strings, a missing cell
+each block bounded by its cell count (rows x columns): ints and floats
+through their distinct values, ``str`` of an int and ``repr`` of a float
+(shortest round-trip form) once per distinct bit pattern within each block
+of cells and indexed back to the cells, bools from the two shared texts
+``false``/``true``, strings as CSV fields or JSON strings, a missing cell
 as an empty field or ``null``; one values array (with one mask) in two
 columns is rendered once per block.  CSV lines are the columns' texts zipped
 together, and the JSON text equals ``json.dumps(..., indent=2)`` of the
@@ -77,15 +78,14 @@ def _texts(column: tuple, fmt: str, rows: slice) -> list[str]:
         quote = _csv_field if fmt == "csv" else json.dumps
         memo = {v: quote(v) for v in set(values)}
         texts = list(map(memo.__getitem__, values))
-    elif kind == "b":
-        texts = np.where(values, "true", "false").tolist()
-    elif kind == "f":   # one repr per distinct bit pattern: -0.0 stays apart
+    elif kind == "b":   # every cell one of two shared texts
+        texts = list(map(("false", "true").__getitem__, values.tolist()))
+    else:   # one text per distinct bit pattern: -0.0 stays apart from 0.0
         bits, inverse = np.unique(values.view(f"u{values.itemsize}"),
                                   return_inverse=True)
-        distinct = list(map(float.__repr__, bits.view(values.dtype).tolist()))
+        distinct = list(map(float.__repr__ if kind == "f" else str,
+                            bits.view(values.dtype).tolist()))
         texts = list(map(distinct.__getitem__, inverse.tolist()))
-    else:
-        texts = list(map(str, values.tolist()))
     if missing is not None:
         for i in np.flatnonzero(missing[rows]).tolist():
             texts[i] = _NULL[fmt]

@@ -359,6 +359,18 @@ def test_scan_point_cap_is_inclusive(tmp_path, capsys):
     assert "scan_step_mhz" in capsys.readouterr().err
 
 
+def test_oracle_step_cap_is_inclusive(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    for steps, code in ((cli.MAX_ORACLE_STEPS, 0),
+                        (cli.MAX_ORACLE_STEPS + 1, 1)):
+        cfg = replace(cli.RunConfig(),
+                      oracle_duration=steps * cli.RunConfig.oracle_dt)
+        assert cli._trajectory(cfg).n_steps == steps
+        path.write_text(f"oracle_duration = {cfg.oracle_duration!r}\n")
+        assert cli.main(["validate", "--config", str(path)]) == code
+    assert "config line 1: oracle_duration:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("kappa_mhz", "0"), ("delta_mhz", "0"), ("eta_det", "1.5"),
     ("n_atoms", "-1"), ("power_uw", "-1"), ("flux_per_uw", "0"),
@@ -595,7 +607,10 @@ def test_oracle_coarse_resolution_exits_1_before_integrating(
     ("oracle_duration = 1e-6", "oracle_duration",
      "need at least 4 segments for error bars, got 1"),
     ("oracle_duration = 1e300\noracle_dt = 1e-300", "oracle_duration",
-     "cannot convert float infinity to integer")])       # inf steps
+     "cannot convert float infinity to integer"),        # inf steps
+    ("oracle_duration = 1000000.0", "oracle_duration",   # 2e16 steps
+     "must span at most 1000000000 steps of oracle_dt, got "
+     "20000000000000000")])
 def test_every_command_rejects_an_oracle_run_that_cannot_work(
         tmp_path, capsys, line, key, message):
     # validate and oracle refuse what oracle cannot run; scan, which runs no
@@ -630,6 +645,8 @@ CONFIG_CHECKS = [
      "need at least 4 segments for error bars, got 1", {"oracle"}),
     ("oracle_duration = 1e300\noracle_dt = 1e-300", "line 1: oracle_duration",
      "cannot convert float infinity to integer", {"oracle"}),
+    ("oracle_duration = 1000000.0", "line 1: oracle_duration",
+     "must span at most 1000000000 steps of oracle_dt", {"oracle"}),
     ("scan_step_mhz = 1e-12", "line 1: scan_step_mhz",
      "must leave 2 to 1000000 scan points", {"scan"}),
     ("scan_step_mhz = 1e-320", "line 1: scan_step_mhz",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -827,3 +828,24 @@ def test_scan_blocks_carry_the_continuation(monkeypatch):
                                    scan.selected_branch[three].tolist())))
         # hysteresis: the two directions follow different branches
         assert any(picked[1][d] != j for d, j in picked[0].items())
+
+
+def test_scan_memory_is_bounded_by_the_block():
+    # numpy reports its buffers to tracemalloc: the scan solves SCAN_BLOCK
+    # rows at a time, so the peak of an 8,000-row scan across the bistable
+    # window, above the columns it returns, is one block's solve
+    # temporaries (about 0.8 MB at 2,048 rows), not the whole grid's (about
+    # 2.9 MB in one block)
+    p = make_params(delta0=-8.0)
+    d0 = kp.linear_dephasing(p)
+    drive = kp.DriveField.from_power(1.2 / (kp.kerr_coefficient(p) * abs(d0)))
+    grid = np.linspace(d0 - 6.0, d0 + 6.0, 8000)
+    kp.cavity_scan(p, drive, grid)
+    tracemalloc.start()
+    try:
+        scan = kp.cavity_scan(p, drive, grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (scan.n_branches == 3).any() and (scan.n_branches == 1).any()
+    assert peak - held < 2 ** 21

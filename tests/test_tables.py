@@ -95,16 +95,37 @@ def test_csv_round_trips_through_the_csv_module(table):
 
 
 def test_columnar_table_renders_each_cell_kind():
-    table = OutputTable("t", list("abcde"), list("11111"),
-                        meta={"seed": np.int64(7), "s": np.float64(0.25)},
-                        data=[np.array([1.5, -0.0]), [2, -3],
-                              np.array([True, False]), [None, "x"],
-                              ["a,b", 'q"']])
-    assert table.rows == [(1.5, 2, True, None, "a,b"),
-                          (-0.0, -3, False, "x", 'q"')]
+    # ints of every width and sign through their distinct values as str(v),
+    # bools as one of two shared texts, masked cells empty (CSV) or null
+    table = OutputTable(
+        "t", list("abcdefgh"), list("11111111"),
+        meta={"seed": np.int64(7), "s": np.float64(0.25)},
+        data=[np.array([1.5, -0.0, 0.0, 1.5]), [2, -3, None, 2],
+              np.array([-3, 0, 2 ** 62, -2 ** 62]),
+              np.array([0, 7, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64),
+              np.array([True, False, False, True]),
+              np.array([-128, 127, 0, -1], dtype=np.int8),
+              [None, "x", None, "y"], ["a,b", 'q"', "", "z"]],
+        missing={"d": np.array([False, True, False, False]),
+                 "e": np.array([False, False, True, False])})
+    assert table.rows == [
+        (1.5, 2, -3, 0, True, -128, None, "a,b"),
+        (-0.0, -3, 0, None, False, 127, "x", 'q"'),
+        (0.0, None, 2 ** 62, 2 ** 63, None, 0, None, ""),
+        (1.5, 2, -2 ** 62, 2 ** 64 - 1, True, -1, "y", "z")]
     assert table.to_csv_text().splitlines()[1:] == [
-        "# seed: 7", "# s: 0.25", "# units: 1,1,1,1,1", "a,b,c,d,e",
-        '1.5,2,true,,"a,b"', '-0.0,-3,false,x,"q"""']
+        "# seed: 7", "# s: 0.25", "# units: 1,1,1,1,1,1,1,1",
+        "a,b,c,d,e,f,g,h", '1.5,2,-3,0,true,-128,,"a,b"',
+        '-0.0,-3,0,,false,127,x,"q"""',
+        "0.0,,4611686018427387904,9223372036854775808,,0,,",
+        "1.5,2,-4611686018427387904,18446744073709551615,true,-1,y,z"]
+    text = table.to_json_text()
+    assert text == json.dumps(
+        {"table": "t", "meta": {"seed": 7, "s": 0.25},
+         "columns": table.columns, "units": table.units,
+         "rows": [list(row) for row in table.rows]}, indent=2) + "\n"
+    assert ("-0.0,\n      -3,\n      0,\n      null,\n      false,\n"
+            "      127,\n") in text
 
 
 def test_masked_cells_are_missing_and_only_they_may_be_non_finite():
